@@ -2,11 +2,11 @@
 // Tests for live worker reconfiguration under fault injection: FaultPlans
 // replayed through the OpenLoopDriver, the ReconfigureWorkers epoch
 // broadcast, conservation across crash+rejoin, Abort() unblocking wedged
-// injectors, and sharded-vs-thread-per-instance equivalence with faults in
-// the loop. Suite names contain "Threaded" so the CI thread-sanitizer job
+// injectors, and equivalence across shard counts with faults in the loop.
+// Suite names contain "Threaded" so the CI thread-sanitizer job
 // (ctest -R 'Threaded|SpscRing') races the whole reconfiguration protocol:
-// the injector thread publishing epochs while executor threads apply them
-// at batch boundaries is exactly the cross-thread edge TSan must see.
+// the injector thread publishing epochs while shard threads apply them at
+// batch boundaries is exactly the cross-thread edge TSan must see.
 
 #include <gtest/gtest.h>
 
@@ -206,7 +206,8 @@ TEST(ThreadedReconfigTest, ShardedModeMatchesThreadPerInstance) {
   // The sharded-equivalence contract must survive reconfiguration: with a
   // single source, routing (including the degraded paths) happens producer-
   // side at deterministic stream positions, so per-sink arrival orders —
-  // and every histogram bucket, per phase — are identical across modes.
+  // and every histogram bucket, per phase — are identical between one
+  // shard per instance and 3 shards.
   const uint32_t kWorkers = 8;
   const uint64_t kT1 = 20000, kT2 = 40000;
   FaultPlan plan = OutagePlan(kWorkers, {0, 5}, kT1, kT2);
@@ -309,7 +310,7 @@ TEST(ThreadedReconfigTest, ReconfigureValidatesHostileInput) {
                   .IsUnimplemented());
 
   (*rt)->Finish();
-  // After Finish the executor threads that would apply epochs are gone.
+  // After Finish the shard threads that would apply epochs are gone.
   EXPECT_TRUE((*rt)->ReconfigureWorkers(pkg_sink, three_alive)
                   .IsFailedPrecondition());
 }

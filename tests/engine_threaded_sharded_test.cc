@@ -4,11 +4,12 @@
 // race-checks the shard drain loop, the shard-granularity parked-consumer
 // gate, and the help-drain path under real concurrency.
 //
-// The contract under test (see threaded_runtime.h): sharded mode changes
-// the thread count and scheduling, never the results. Routed counts are
-// byte-identical to thread-per-instance mode for every technique (routing
-// is producer-side), and with a single source the per-sink arrival order —
-// hence the virtual-service latency histograms — is bit-identical too.
+// The contract under test (see threaded_runtime.h): the shard count
+// changes the thread count and scheduling, never the results. Routed
+// counts are byte-identical to one shard per instance (the default
+// layout, shards = 0) for every technique (routing is producer-side), and
+// with a single source the per-sink arrival order — hence the
+// virtual-service latency histograms — is bit-identical too.
 
 #include <gtest/gtest.h>
 
@@ -62,7 +63,7 @@ struct CellOutcome {
 /// precomputed Poisson-arrival message sequence injected flat out. The
 /// sink arrival order equals injection order per instance, so both the
 /// routed counts and every histogram statistic must replay exactly across
-/// execution modes.
+/// shard layouts.
 CellOutcome RunLatencyCell(const partition::PartitionerConfig& config,
                            uint32_t workers, size_t shards, bool pin_shards) {
   const uint64_t kMessages = 6000;
@@ -89,7 +90,7 @@ CellOutcome RunLatencyCell(const partition::PartitionerConfig& config,
   EXPECT_TRUE(topology.Connect(spout, sink, config).ok());
 
   ThreadedRuntimeOptions options;
-  options.queue_capacity = 64;  // some backpressure in every mode
+  options.queue_capacity = 64;  // some backpressure in every layout
   options.shards = shards;
   options.pin_shards = pin_shards;
   auto rt = ThreadedRuntime::Create(&topology, options);
@@ -123,18 +124,25 @@ partition::PartitionerConfig ConfigFor(partition::Technique technique,
   return config;
 }
 
-using ShardedParam = std::tuple<partition::Technique, size_t>;
+/// A shard layout under test: the shard count and whether shards pin.
+struct ShardLayout {
+  size_t shards;
+  bool pin_shards;
+};
+
+using ShardedParam = std::tuple<partition::Technique, ShardLayout>;
 
 class ThreadedShardedTest : public testing::TestWithParam<ShardedParam> {};
 
 TEST_P(ThreadedShardedTest, ShardedIsBitIdenticalToThreadPerInstance) {
-  const auto [technique, shards] = GetParam();
+  // Reference: one unpinned shard per instance.
+  const auto [technique, layout] = GetParam();
   const uint32_t kWorkers = 16;
   const partition::PartitionerConfig config = ConfigFor(technique, kWorkers);
   const CellOutcome reference =
       RunLatencyCell(config, kWorkers, /*shards=*/0, /*pin_shards=*/false);
   const CellOutcome sharded =
-      RunLatencyCell(config, kWorkers, shards, /*pin_shards=*/false);
+      RunLatencyCell(config, kWorkers, layout.shards, layout.pin_shards);
   EXPECT_EQ(sharded.routed, reference.routed);
   EXPECT_TRUE(sharded.latency == reference.latency);
   EXPECT_EQ(reference.latency.count, 6000u);
@@ -146,13 +154,20 @@ INSTANTIATE_TEST_SUITE_P(
                                      partition::Technique::kPkgLocal,
                                      partition::Technique::kDChoices,
                                      partition::Technique::kWChoices),
-                     testing::Values<size_t>(1, 3, 8)),
+                     // Shard counts below the 16 instances, plus one
+                     // pinned shard per instance (pinning at shards = 0).
+                     testing::Values(ShardLayout{1, false},
+                                     ShardLayout{3, false},
+                                     ShardLayout{8, false},
+                                     ShardLayout{0, true})),
     [](const testing::TestParamInfo<ShardedParam>& info) {
       std::string name = partition::TechniqueName(std::get<0>(info.param));
       for (char& c : name) {
         if (c == '-' || c == '+') c = '_';
       }
-      return name + "_Shards" + std::to_string(std::get<1>(info.param));
+      const ShardLayout& layout = std::get<1>(info.param);
+      return name + "_Shards" + std::to_string(layout.shards) +
+             (layout.pin_shards ? "_Pinned" : "");
     });
 
 TEST(ThreadedShardedTest, PinnedShardsMatchToo) {
@@ -170,8 +185,8 @@ TEST(ThreadedShardedTest, PinnedShardsMatchToo) {
 
 TEST(ThreadedShardedTest, ManyMoreInstancesThanShards) {
   // The headline configuration: hundreds of sink instances multiplexed on
-  // a handful of shard threads, still bit-identical to 200 dedicated
-  // threads.
+  // a handful of shard threads, still bit-identical to one shard per
+  // instance (200 threads).
   const uint32_t kWorkers = 200;
   const partition::PartitionerConfig config =
       ConfigFor(partition::Technique::kDChoices, kWorkers);

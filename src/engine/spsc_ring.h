@@ -101,12 +101,16 @@ class SpscRing {
       if (tail - head_cache_ >= capacity_) return false;
     }
     slots_[tail & mask_] = std::move(item);
-    tail_.store(tail + 1, std::memory_order_release);
+    tail_.store(tail + 1, std::memory_order_seq_cst);
     return true;
   }
 
   /// Producer: enqueues a prefix of `items[0..n)`; returns how many were
   /// enqueued (the rest are untouched). One index publication per batch.
+  /// Publications are seq_cst stores (release would do for the items
+  /// alone) so that a consumer's park handshake — a seq_cst flag store,
+  /// then SizeApprox — cannot miss a producer that then missed the flag
+  /// (see ThreadedRuntime's ConsumerGate).
   size_t TryPushBatch(T* items, size_t n) {
     const size_t tail = tail_.load(std::memory_order_relaxed);
     size_t free_slots = capacity_ - (tail - head_cache_);
@@ -118,18 +122,20 @@ class SpscRing {
     for (size_t i = 0; i < count; ++i) {
       slots_[(tail + i) & mask_] = std::move(items[i]);
     }
-    if (count > 0) tail_.store(tail + count, std::memory_order_release);
+    if (count > 0) tail_.store(tail + count, std::memory_order_seq_cst);
     return count;
   }
 
-  /// Any thread: approximate occupancy from relaxed loads of both indices.
+  /// Any thread: approximate occupancy from seq_cst loads of both indices.
   /// Exact when producer and consumer are quiescent; under concurrency the
   /// two loads may observe torn progress, so the result is clamped to
-  /// [0, capacity()]. For depth reporting and idle heuristics only — never
-  /// a correctness signal (use TryPop to actually test for items).
+  /// [0, capacity()]. For depth reporting and a parking consumer's
+  /// re-check — whether to pop, never what: use TryPop to actually take
+  /// items. seq_cst puts the re-check and the publications in one total
+  /// order.
   size_t SizeApprox() const {
-    const size_t tail = tail_.load(std::memory_order_relaxed);
-    const size_t head = head_.load(std::memory_order_relaxed);
+    const size_t tail = tail_.load(std::memory_order_seq_cst);
+    const size_t head = head_.load(std::memory_order_seq_cst);
     const size_t diff = tail - head;
     return diff > capacity_ ? capacity_ : diff;
   }

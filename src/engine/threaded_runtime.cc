@@ -60,8 +60,34 @@ struct ThreadedRuntime::ShardState {
   size_t remaining = 0;
   /// Sweep rotation (fairness: a different instance leads each sweep).
   size_t cursor = 0;
-  ConsumerGate gate;
+  ShardSpinBudget budget;
+  /// ShardIdleStats fields, written only by the shard thread (relaxed
+  /// stores, no read-modify-write) and readable from any thread.
+  std::atomic<uint64_t> spin_sweeps{0};
+  std::atomic<uint64_t> parks{0};
+  std::atomic<uint64_t> notify_wakes{0};
+  std::atomic<uint64_t> timeout_wakes{0};
+  /// On its own line: producers read the parked flag on every publication,
+  /// while the fields above change on every sweep.
+  alignas(kCacheLineSize) ConsumerGate gate;
 };
+
+namespace {
+
+uint64_t SteadyNowNs() {
+  return static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now().time_since_epoch())
+          .count());
+}
+
+/// Single-writer counter update: the owning thread adds, others only read.
+void AddRelaxed(std::atomic<uint64_t>& counter, uint64_t n) {
+  counter.store(counter.load(std::memory_order_relaxed) + n,
+                std::memory_order_relaxed);
+}
+
+}  // namespace
 
 thread_local ThreadedRuntime::ShardState* ThreadedRuntime::tls_shard_ =
     nullptr;
@@ -278,7 +304,10 @@ void ThreadedRuntime::RunShard(uint32_t shard) {
     CpuAffinity::PinCurrentThread(st.index);
   }
   tls_shard_ = &st;
-  uint32_t idle_sweeps = 0;
+  // The current idle period: when it began (0 = not idle) and its empty
+  // sweeps so far.
+  uint64_t idle_since_ns = 0;
+  uint64_t idle_sweeps = 0;
   while (st.remaining > 0 &&
          !aborted_.load(std::memory_order_acquire)) {
     // Rotate the sweep start so no owned instance is systematically
@@ -290,31 +319,40 @@ void ThreadedRuntime::RunShard(uint32_t shard) {
       progress |= DrainInstanceOnce(st, st.instances[(st.cursor + i) % n]);
     }
     if (progress) {
-      idle_sweeps = 0;
+      if (idle_since_ns != 0) {
+        st.budget.OnWork(SteadyNowNs() - idle_since_ns);
+        AddRelaxed(st.spin_sweeps, idle_sweeps);
+        idle_since_ns = 0;
+        idle_sweeps = 0;
+      }
       continue;
     }
-    ++idle_sweeps;
-    if (idle_sweeps <= kShardRelaxSweeps) {
+    const uint64_t now_ns = SteadyNowNs();
+    if (idle_since_ns == 0) idle_since_ns = now_ns;
+    if (st.budget.Spin(now_ns - idle_since_ns)) {
+      ++idle_sweeps;
       Backoff::CpuRelax();
-    } else if (idle_sweeps <= kShardSpinSweeps) {
-      std::this_thread::yield();
-    } else {
-      // Shard-granularity park: producers into any owned mailbox wake
-      // this gate. Re-check after BeginPark (SizeApprox suffices — a
-      // missed publication costs one bounded 200us wait).
-      st.gate.BeginPark();
-      bool pending = false;
-      for (const ShardInstance& si : st.instances) {
-        if (!si.done && si.mailbox->SizeApprox() > 0) {
-          pending = true;
-          break;
-        }
-      }
-      if (!pending) st.gate.WaitBriefly();
-      st.gate.EndPark();
-      idle_sweeps = 0;
+      continue;
     }
+    // Shard-granularity park: producers into any owned mailbox wake this
+    // gate. The re-check after BeginPark sees every publication whose
+    // producer missed the parked flag (see ConsumerGate).
+    AddRelaxed(st.parks, 1);
+    st.gate.BeginPark();
+    bool pending = false;
+    for (const ShardInstance& si : st.instances) {
+      if (!si.done && si.mailbox->SizeApprox() > 0) {
+        pending = true;
+        break;
+      }
+    }
+    if (!pending) {
+      AddRelaxed(st.gate.WaitBriefly() ? st.notify_wakes : st.timeout_wakes,
+                 1);
+    }
+    st.gate.EndPark();
   }
+  AddRelaxed(st.spin_sweeps, idle_sweeps);
   tls_shard_ = nullptr;
 }
 
@@ -486,6 +524,8 @@ void ThreadedRuntime::Inject(NodeId spout, SourceId source, Message msg) {
   processed_[processed_base_[spout.index] + source].value.fetch_add(
       1, std::memory_order_relaxed);
   RouteFrom(spout.index, source, std::move(msg));
+  // The call is the spout's input batch: publish before returning.
+  FlushOutBuffers(spout.index, source);
 }
 
 void ThreadedRuntime::InjectBatch(NodeId spout, SourceId source,
@@ -505,6 +545,7 @@ void ThreadedRuntime::InjectBatch(NodeId spout, SourceId source,
   processed_[processed_base_[spout.index] + source].value.fetch_add(
       n, std::memory_order_relaxed);
   RouteBatchFrom(spout.index, source, msgs, n);
+  FlushOutBuffers(spout.index, source);
 }
 
 Status ThreadedRuntime::ReconfigureWorkers(NodeId downstream,
@@ -592,10 +633,9 @@ void ThreadedRuntime::Finish() {
     for (uint32_t n = 0; n < nodes.size(); ++n) {
       if (!nodes[n].is_spout) continue;
       for (uint32_t i = 0; i < nodes[n].parallelism; ++i) {
-        // The inject mutex orders this flush after every completed Inject
-        // for the source; its out-buffers are quiesced here.
+        // The inject mutex orders the EOS after every completed Inject for
+        // the source, and each Inject left its out-buffers empty.
         std::lock_guard<std::mutex> lock(*inject_mutexes_[n][i]);
-        FlushOutBuffers(n, i);
         SendEos(n, i);
       }
     }
@@ -622,6 +662,21 @@ void ThreadedRuntime::Finish() {
     }
     drained_.store(true, std::memory_order_release);
   });
+}
+
+std::vector<ShardIdleStats> ThreadedRuntime::IdleStats() const {
+  PKGSTREAM_CHECK(drained_.load(std::memory_order_acquire))
+      << "idle stats are final only after Finish() completes";
+  std::vector<ShardIdleStats> out;
+  for (const auto& st : shards_) {
+    ShardIdleStats s;
+    s.spin_sweeps = st->spin_sweeps.load(std::memory_order_relaxed);
+    s.parks = st->parks.load(std::memory_order_relaxed);
+    s.notify_wakes = st->notify_wakes.load(std::memory_order_relaxed);
+    s.timeout_wakes = st->timeout_wakes.load(std::memory_order_relaxed);
+    out.push_back(s);
+  }
+  return out;
 }
 
 std::vector<uint64_t> ThreadedRuntime::Processed(NodeId node) const {

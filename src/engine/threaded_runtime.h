@@ -15,9 +15,11 @@
 //    so no cyclic wait;
 //  * the producer side batches too: each upstream instance parks routed
 //    messages in a per-(edge, destination) out-buffer and publishes them
-//    with one SpscRing::TryPushBatch when the batch fills, when its input
-//    round ends, or at EOS/Finish (ThreadedRuntimeOptions::emit_batch) —
-//    one ring-index publication and at most one wakeup per batch;
+//    with one SpscRing::TryPushBatch when the batch fills and at the end
+//    of every input batch — a consumed ring batch for an operator, an
+//    Inject/InjectBatch call for a spout (ThreadedRuntimeOptions::
+//    emit_batch) — one ring-index publication and at most one wakeup per
+//    batch, and nothing waits in a buffer once its producer's call ends;
 //  * every upstream *instance* owns its own partitioner replica
 //    (Partitioner::Clone via MakePartitionerReplicas), so routing takes no
 //    lock and PKG/local-estimator state is genuinely per-source — the
@@ -40,12 +42,13 @@
 // own shard). Each shard owns a contiguous, topology-ordered slice of
 // the instance list (same-stage instances pack together), drains its
 // instances' rings round-robin in batches, and parks on a shard-wide gate
-// when every owned ring stayed empty through a bounded spin — producers
-// wake the *shard*, not an instance, so there is still at most one wakeup
-// per published batch. Everything that determines results stays
-// per-instance whatever the shard count: partitioner replicas,
-// per-(edge, destination) out-buffers, processed_ cells, and per-ring
-// FIFO order. Routing decisions are made producer-side, so routed counts
+// when every owned ring stayed empty through an adaptive spin
+// (ShardSpinBudget: dense traffic is spun through, sparse traffic parks
+// at once) — producers wake the *shard*, not an instance, so there is
+// still at most one wakeup per published batch. Everything that
+// determines results stays per-instance whatever the shard count:
+// partitioner replicas, per-(edge, destination) out-buffers, processed_
+// cells, and per-ring FIFO order. Routing decisions are made producer-side, so routed counts
 // are byte-identical across shard counts, and with a single source the
 // per-sink arrival order (hence any order-sensitive sink state, e.g.
 // LatencySink histograms) is too — pinned by
@@ -64,8 +67,11 @@
 #ifndef PKGSTREAM_ENGINE_THREADED_RUNTIME_H_
 #define PKGSTREAM_ENGINE_THREADED_RUNTIME_H_
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
+#include <cstdint>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -90,11 +96,11 @@ struct ThreadedRuntimeOptions {
   /// many routed messages per (edge, destination) and publishes them with
   /// one SpscRing::TryPushBatch — one index publication (and at most one
   /// consumer wakeup) per batch instead of per message. 1 disables
-  /// batching. Buffers are flushed when full, after every consumed input
-  /// batch (operators), and at Finish (spouts), so totals are unaffected;
-  /// only the *moment* a message becomes visible downstream shifts — in
-  /// particular, messages injected at a spout may sit in its out-buffer
-  /// until the batch fills or Finish() runs. Must be >= 1.
+  /// batching. Buffers are flushed when full and at the end of every input
+  /// batch — after each consumed ring batch (operators) and before each
+  /// Inject/InjectBatch call returns (spouts) — so batching only groups
+  /// the messages of one call or round: a message is visible downstream
+  /// once the call that produced it has returned. Must be >= 1.
   size_t emit_batch = 16;
 
   /// Shard threads: all operator instances run on min(shards, instance
@@ -119,6 +125,61 @@ struct ThreadedRuntimeOptions {
   uint64_t finish_deadline_ms = 0;
 };
 
+/// \brief The adaptive idle spin of one shard thread: how long a shard
+/// whose rings are all empty keeps polling them before it parks on its
+/// gate.
+///
+/// A park costs the shard a sleep and a wake, and costs the producer that
+/// wakes it a lock and a notify, so spinning pays only when work comes
+/// back within about that cost. The budget follows the shard's idle gaps
+/// (from running out of work to finding work again, parked or not): a gap
+/// of at most kMaxSpinNs raises it to twice that gap (capped at
+/// kMaxSpinNs), a longer one halves it. Sparse traffic — every gap longer
+/// than a park — collapses the budget to 0, so each idle period parks at
+/// once; dense traffic keeps it above its gaps, so the shard spins through
+/// them and producers never pay a wakeup. A new shard has seen no gap yet
+/// and starts at 0, so idle shards of a fresh runtime park at once instead
+/// of spinning on cores their creator may still need. A pure value type:
+/// the shard loop feeds it clock readings, tests feed it event sequences.
+class ShardSpinBudget {
+ public:
+  /// Longest spin, and longest gap still worth spinning through; about the
+  /// cost of one park-and-wake round trip.
+  static constexpr uint64_t kMaxSpinNs = 10'000;
+
+  /// Whether a shard idle for `idle_ns` so far keeps polling (false:
+  /// park now).
+  bool Spin(uint64_t idle_ns) const { return idle_ns < budget_ns_; }
+
+  /// An idle period ended with work found after `gap_ns`.
+  void OnWork(uint64_t gap_ns) {
+    if (gap_ns <= kMaxSpinNs) {
+      budget_ns_ = std::min(kMaxSpinNs, std::max(budget_ns_, 2 * gap_ns));
+    } else {
+      budget_ns_ /= 2;
+    }
+  }
+
+  uint64_t budget_ns() const { return budget_ns_; }
+
+ private:
+  uint64_t budget_ns_ = 0;
+};
+
+/// \brief Idle-loop counters of one shard thread (ThreadedRuntime::
+/// IdleStats). `parks - notify_wakes - timeout_wakes` parks were called off
+/// by the re-check that follows the parked flag.
+struct ShardIdleStats {
+  /// Empty sweeps polled within the spin budget.
+  uint64_t spin_sweeps = 0;
+  /// Times the shard raised its gate's parked flag.
+  uint64_t parks = 0;
+  /// Waits ended by a producer's notify (or a spurious wakeup).
+  uint64_t notify_wakes = 0;
+  /// Waits ended by the bounded wait's timeout.
+  uint64_t timeout_wakes = 0;
+};
+
 /// \brief Multi-threaded executor for a Topology (no ticks; see above).
 class ThreadedRuntime {
  public:
@@ -134,7 +195,8 @@ class ThreadedRuntime {
   /// source instance are serialized internally (each source is a single
   /// logical producer). Must not be called after Finish(). The message is
   /// moved into the out-buffer/ring (copied only on spout fan-out) — pass
-  /// an rvalue to make injection copy-free.
+  /// an rvalue to make injection copy-free. It is published downstream
+  /// before the call returns.
   void Inject(NodeId spout, SourceId source, Message msg);
 
   /// Thread-safe batch injection from one source: takes the source's
@@ -142,8 +204,9 @@ class ThreadedRuntime {
   /// the source's partitioner replica (Partitioner::RouteBatch — routing
   /// decisions bit-identical to n scalar Inject calls) and appends the
   /// messages to the per-(edge, destination) emit out-buffers directly.
-  /// Per-ring FIFO order is preserved per edge; messages become visible
-  /// downstream in batches (same flush points as scalar injection).
+  /// Per-ring FIFO order is preserved per edge; messages are published in
+  /// batches of up to emit_batch per destination, the last partial batch
+  /// before the call returns.
   void InjectBatch(NodeId spout, SourceId source, const Message* msgs,
                    size_t n);
 
@@ -179,6 +242,10 @@ class ThreadedRuntime {
   /// Valid after Finish(): messages processed per instance of `node`.
   std::vector<uint64_t> Processed(NodeId node) const;
 
+  /// Valid after Finish(): the idle-loop counters of every shard thread,
+  /// in shard order.
+  std::vector<ShardIdleStats> IdleStats() const;
+
   /// Valid after Finish(): operator access for result extraction.
   Operator* GetOperator(NodeId node, uint32_t instance);
 
@@ -189,7 +256,7 @@ class ThreadedRuntime {
                                                uint32_t source_instance) const;
 
   /// Thread-safe, any time: approximate number of items queued across all
-  /// inbound rings of every instance of `node` (relaxed loads; see
+  /// inbound rings of every instance of `node` (index loads only; see
   /// SpscRing::SizeApprox). 0 for spouts. Monitoring only — the value may
   /// be stale the moment it returns.
   size_t ApproxInboxDepth(NodeId node) const;
@@ -207,21 +274,24 @@ class ThreadedRuntime {
   /// wakeups over up to this many messages.
   static constexpr size_t kPopBatch = 64;
 
-  /// Idle shard sweeps before escalating from CPU-relax to yield, and from
-  /// yield to a gate park.
-  static constexpr uint32_t kShardRelaxSweeps = 8;
-  static constexpr uint32_t kShardSpinSweeps = 32;
-
   /// \brief Parked-consumer wakeup gate for one shard: every owned
   /// mailbox shares it, so any producer push wakes the shard.
   ///
   /// Producers take the wake mutex only when the parked flag is visible,
-  /// so steady-state traffic pays no lock and no syscall. The park uses a
-  /// bounded wait: a lost wakeup in the flag race costs bounded latency,
-  /// never a hang.
+  /// so steady-state traffic pays no lock and no syscall. The flag
+  /// handshake is a Dekker pair — a producer stores a ring index then
+  /// loads the flag, the consumer stores the flag then loads the ring
+  /// indices — and only the single total order of seq_cst operations
+  /// keeps both sides from missing each other: the flag accesses here,
+  /// SpscRing's index publication and SizeApprox's loads are all seq_cst.
+  /// A release publication would let store-load reordering hide each side
+  /// from the other, and the consumer would sleep its whole bounded wait
+  /// with work queued. The wait stays bounded anyway, so a wakeup lost in
+  /// the mutex/notify step costs latency, never a hang.
   class ConsumerGate {
    public:
-    /// Producer side: nudges a parked consumer (cheap flag check first).
+    /// Producer side, after publishing a ring index: nudges a parked
+    /// consumer (cheap flag check first).
     void MaybeWake() {
       if (parked_.load(std::memory_order_seq_cst)) {
         // Empty critical section: orders the notify after the consumer's
@@ -232,14 +302,16 @@ class ThreadedRuntime {
     }
 
     /// Consumer side: announce the intent to park. The caller must
-    /// re-check its rings *after* this store (seq_cst orders it against
-    /// producers' index publications) before calling WaitBriefly.
+    /// re-check its rings with SizeApprox *after* this store before
+    /// calling WaitBriefly.
     void BeginPark() { parked_.store(true, std::memory_order_seq_cst); }
 
-    /// Consumer side: bounded wait for a producer nudge (or timeout).
-    void WaitBriefly() {
+    /// Consumer side: bounded wait for a producer nudge. Returns false when
+    /// the wait timed out.
+    bool WaitBriefly() {
       std::unique_lock<std::mutex> lock(wake_mu_);
-      wake_cv_.wait_for(lock, std::chrono::microseconds(200));
+      return wake_cv_.wait_for(lock, std::chrono::microseconds(200)) ==
+             std::cv_status::no_timeout;
     }
 
     /// Consumer side: leave the parked state (after WaitBriefly or a
@@ -296,7 +368,7 @@ class ThreadedRuntime {
     }
 
     /// Any thread: approximate queued items across all producer rings
-    /// (relaxed loads; monitoring and idle heuristics only).
+    /// (see SpscRing::SizeApprox; monitoring and the park re-check only).
     size_t SizeApprox() const {
       size_t total = 0;
       for (const auto& ring : rings_) total += ring->SizeApprox();
@@ -348,8 +420,9 @@ class ThreadedRuntime {
   /// The finish-deadline dump: every instance's approximate ring occupancy
   /// and processed count, before the fatal abort.
   void DumpStuckState();
-  /// Shard thread main loop: round-robin over the owned instances with
-  /// bounded spin, then park on the shard gate.
+  /// Shard thread main loop: round-robin over the owned instances, then,
+  /// when all are empty, spin within the shard's ShardSpinBudget and park
+  /// on the shard gate.
   void RunShard(uint32_t shard);
   /// Pops and processes at most one batch for `si` (non-blocking); closes
   /// the instance when its last upstream EOS arrived. Returns whether any
@@ -382,8 +455,9 @@ class ThreadedRuntime {
                      Item item);
   /// Publishes one (edge, instance, worker) out-buffer downstream.
   void FlushBuffer(uint32_t edge, uint32_t instance, WorkerId worker);
-  /// Publishes every pending out-buffer of (node, instance); called after
-  /// each consumed input batch, and before EOS.
+  /// Publishes every pending out-buffer of (node, instance); called at the
+  /// end of each input batch (a consumed ring batch, an Inject/InjectBatch
+  /// call) and before EOS.
   void FlushOutBuffers(uint32_t node, uint32_t instance);
   /// Sends one EOS token down every outbound edge of (node, instance).
   void SendEos(uint32_t node, uint32_t instance);

@@ -32,145 +32,24 @@
 // The baseline pins that shape: latency monotone in offered load per
 // technique, and KG's tail >> PKG-L's at the top load.
 //
-// --pace injects against the wall clock (sleep until each arrival is due)
-// instead of replaying the schedule flat out; the deterministic latency
-// metrics are identical either way (engine_threaded_openloop_test pins
-// this), so CI runs unpaced and a paced run can be compared directly.
+// The cell itself (input generation, topology, driver, latency block) is
+// bench/open_loop_cell.h, shared with bench_threaded_manyworkers and
+// bench_reconfig.
 
 #include <algorithm>
-#include <cstdio>
 #include <iostream>
-#include <utility>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "bench/open_loop_cell.h"
 #include "bench/report.h"
 #include "common/logging.h"
-#include "engine/open_loop.h"
-#include "engine/threaded_runtime.h"
 #include "partition/factory.h"
-#include "stats/latency_histogram.h"
-#include "workload/arrival_schedule.h"
 #include "workload/static_distribution.h"
 #include "workload/zipf.h"
-
-namespace pkgstream {
-namespace {
-
-/// Replays a pre-generated arrival-time vector (so every technique in a cell
-/// is offered the byte-identical schedule, and the checksum covers exactly
-/// what was injected).
-class VectorSchedule final : public workload::ArrivalSchedule {
- public:
-  explicit VectorSchedule(const std::vector<uint64_t>* times)
-      : times_(times) {}
-
-  uint64_t NextMicros() override {
-    PKGSTREAM_CHECK(pos_ < times_->size());
-    return (*times_)[pos_++];
-  }
-
-  void NextBatchMicros(uint64_t* out, size_t n) override {
-    PKGSTREAM_CHECK(pos_ + n <= times_->size());
-    for (size_t i = 0; i < n; ++i) out[i] = (*times_)[pos_ + i];
-    pos_ += n;
-  }
-
-  std::string Name() const override { return "replay"; }
-
- private:
-  const std::vector<uint64_t>* times_;
-  size_t pos_ = 0;
-};
-
-/// Replays a pre-generated key vector (same rationale as VectorSchedule).
-class VectorKeyStream final : public workload::KeyStream {
- public:
-  VectorKeyStream(const std::vector<Key>* keys, uint64_t key_space)
-      : keys_(keys), key_space_(key_space) {}
-
-  Key Next() override {
-    PKGSTREAM_CHECK(pos_ < keys_->size());
-    return (*keys_)[pos_++];
-  }
-
-  void NextBatch(Key* out, size_t n) override {
-    PKGSTREAM_CHECK(pos_ + n <= keys_->size());
-    for (size_t i = 0; i < n; ++i) out[i] = (*keys_)[pos_ + i];
-    pos_ += n;
-  }
-
-  uint64_t KeySpace() const override { return key_space_; }
-  std::string Name() const override { return "replay"; }
-
- private:
-  const std::vector<Key>* keys_;
-  uint64_t key_space_;
-  size_t pos_ = 0;
-};
-
-struct CellResult {
-  stats::LatencyHistogram hist{1ULL << 30, 32};
-  uint64_t processed = 0;
-  double wall_seconds = 0;
-  uint64_t max_lag_us = 0;
-  stats::LatencyHistogram lag_hist{1ULL << 30, 32};
-};
-
-CellResult RunCell(partition::Technique technique, uint32_t workers,
-                   uint64_t service_us, const std::vector<uint64_t>& times,
-                   const std::vector<Key>& keys, uint64_t key_space,
-                   uint64_t seed, bool pace) {
-  engine::Topology topology;
-  engine::NodeId spout = topology.AddSpout("src", /*parallelism=*/1);
-  engine::LatencySink::Options sink_options;
-  sink_options.model = engine::LatencySink::ServiceModel::kVirtualService;
-  sink_options.service_us = service_us;
-  engine::NodeId sink = topology.AddOperator(
-      "sink", engine::LatencySink::MakeFactory(sink_options), workers);
-  PKGSTREAM_CHECK_OK(topology.Connect(spout, sink, technique, seed));
-  auto rt = engine::ThreadedRuntime::Create(&topology, {});
-  PKGSTREAM_CHECK_OK(rt.status());
-
-  engine::OpenLoopClock clock;
-  engine::OpenLoopOptions driver_options;
-  driver_options.pace = pace;
-  engine::OpenLoopDriver driver(rt->get(), spout, &clock, driver_options);
-  VectorSchedule schedule(&times);
-  VectorKeyStream key_stream(&keys, key_space);
-  engine::OpenLoopDriver::Source source;
-  source.source = 0;
-  source.schedule = &schedule;
-  source.keys = &key_stream;
-  source.messages = times.size();
-  auto reports = driver.Run({source});
-  (*rt)->Finish();
-
-  CellResult result;
-  result.hist = engine::LatencySink::MergedHistogram(rt->get(), sink, workers,
-                                                     sink_options);
-  for (uint64_t n : (*rt)->Processed(sink)) result.processed += n;
-  result.wall_seconds = static_cast<double>(clock.NowMicros()) / 1e6;
-  result.max_lag_us = reports[0].max_lag_us;
-  result.lag_hist = reports[0].lag_histogram;
-  return result;
-}
-
-std::string FormatUs(uint64_t us) {
-  char buf[32];
-  if (us >= 10000) {
-    std::snprintf(buf, sizeof(buf), "%.1fms", static_cast<double>(us) / 1e3);
-  } else {
-    std::snprintf(buf, sizeof(buf), "%lluus",
-                  static_cast<unsigned long long>(us));
-  }
-  return buf;
-}
-
-}  // namespace
-}  // namespace pkgstream
 
 int main(int argc, char** argv) {
   using namespace pkgstream;
@@ -200,7 +79,6 @@ int main(int argc, char** argv) {
       static_cast<uint64_t>(flags.GetInt("service_us", 50));
   const uint32_t workers =
       static_cast<uint32_t>(flags.GetInt("workers", 4));
-  const bool pace = flags.GetBool("pace", false);
   PKGSTREAM_CHECK(cell_ms > 0 && service_us > 0 && workers > 0);
 
   // Per-worker capacity is 1e6/service_us = 20k msgs/sec (80k aggregate).
@@ -221,72 +99,43 @@ int main(int argc, char** argv) {
   report.AddMetric("workers", static_cast<double>(workers));
 
   std::cout << "workers=" << workers << "  service_us=" << service_us
-            << "  cell_ms=" << cell_ms << "  pace=" << (pace ? "on" : "off")
-            << "  keys=" << dist->name() << " (p1=" << dist->P1() << ")\n\n";
+            << "  cell_ms=" << cell_ms << "  keys=" << dist->name()
+            << " (p1=" << dist->P1() << ")\n\n";
 
-  Table table({"load msg/s", "technique", "count", "p50", "p95", "p99",
-               "p999", "max", "mean us"});
+  Table table(bench::LatencyColumns({"load msg/s", "technique"}));
   uint64_t worst_p999 = 0;
   uint64_t saturated_total = 0;
   for (uint64_t load : loads) {
     // One schedule + key sequence per load, shared by every technique.
     const uint64_t messages = load * cell_ms / 1000;
-    std::vector<uint64_t> times(messages);
-    std::vector<Key> keys(messages);
-    workload::PoissonSchedule schedule(static_cast<double>(load),
-                                       args.seed ^ load);
-    schedule.NextBatchMicros(times.data(), messages);
-    workload::IidKeyStream key_stream(dist, args.seed * 31 + load);
-    key_stream.NextBatch(keys.data(), messages);
-    // Checksums (mod 2^32: metrics are doubles and must stay exact) pin
-    // that every technique — and every future capture — was offered this
-    // exact load.
-    uint64_t sched_sum = 0, key_sum = 0;
-    for (uint64_t t : times) sched_sum += t;
-    for (Key k : keys) key_sum += k;
     const std::string load_prefix = "load=" + std::to_string(load) + "/";
     report.AddMetric(load_prefix + "messages",
                      static_cast<double>(messages));
-    report.AddMetric(load_prefix + "sched_checksum",
-                     static_cast<double>(sched_sum & 0xffffffffULL));
-    report.AddMetric(load_prefix + "key_checksum",
-                     static_cast<double>(key_sum & 0xffffffffULL));
+    const bench::OpenLoopInput input = bench::MakeOpenLoopInput(
+        load, messages, dist, args.seed, load, load_prefix, &report);
 
     for (const auto& [technique, name] : techniques) {
-      CellResult cell = RunCell(technique, workers, service_us, times, keys,
-                                dist->K(), args.seed, pace);
-      const auto& h = cell.hist;
-      PKGSTREAM_CHECK(cell.processed == messages && h.count() == messages)
-          << "message loss: injected " << messages << ", processed "
-          << cell.processed << ", recorded " << h.count();
+      bench::OpenLoopCellSpec spec;
+      spec.routing.technique = technique;
+      spec.routing.workers = workers;
+      spec.routing.seed = args.seed;
+      spec.service_us = service_us;
+      const bench::OpenLoopCell cell = bench::OpenLoopCell::Run(spec, input);
       const std::string prefix = load_prefix + name + "/";
-      report.AddMetric(prefix + "count", static_cast<double>(h.count()));
-      report.AddMetric(prefix + "p50_us", static_cast<double>(h.P50()));
-      report.AddMetric(prefix + "p95_us", static_cast<double>(h.P95()));
-      report.AddMetric(prefix + "p99_us", static_cast<double>(h.P99()));
-      report.AddMetric(prefix + "p999_us", static_cast<double>(h.P999()));
-      report.AddMetric(prefix + "max_us", static_cast<double>(h.max()));
-      report.AddMetric(prefix + "mean_us", h.mean());
-      report.AddMetric(prefix + "saturated",
-                       static_cast<double>(h.saturated()));
-      report.AddHostMetric(prefix + "wall_seconds", cell.wall_seconds);
-      report.AddHostMetric(prefix + "max_inject_lag_us",
-                           static_cast<double>(cell.max_lag_us));
+      const auto h = bench::ReportLatency(
+          cell, prefix, {std::to_string(load), name}, &report, &table);
       // Inject-lag quantiles (per message, from the driver's lag
       // histogram): p99 near zero with a large max means one scheduling
       // spike; p99 near the max means sustained injector backpressure.
+      const auto& lag = cell.driver().lag_histogram;
       report.AddHostMetric(prefix + "inject_lag_p50_us",
-                           static_cast<double>(cell.lag_hist.P50()));
+                           static_cast<double>(lag.P50()));
       report.AddHostMetric(prefix + "inject_lag_p99_us",
-                           static_cast<double>(cell.lag_hist.P99()));
+                           static_cast<double>(lag.P99()));
       report.AddHostMetric(prefix + "inject_lag_p999_us",
-                           static_cast<double>(cell.lag_hist.P999()));
+                           static_cast<double>(lag.P999()));
       worst_p999 = std::max(worst_p999, h.P999());
       saturated_total += h.saturated();
-      table.AddRow({std::to_string(load), name, std::to_string(h.count()),
-                    FormatUs(h.P50()), FormatUs(h.P95()), FormatUs(h.P99()),
-                    FormatUs(h.P999()), FormatUs(h.max()),
-                    std::to_string(static_cast<uint64_t>(h.mean()))});
     }
   }
   report.AddTable(std::move(table));

@@ -49,73 +49,18 @@
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "bench/open_loop_cell.h"
 #include "bench/report.h"
 #include "common/logging.h"
 #include "engine/fault_injection.h"
-#include "engine/open_loop.h"
-#include "engine/threaded_runtime.h"
 #include "partition/factory.h"
 #include "partition/rebalancing.h"
 #include "stats/latency_histogram.h"
-#include "workload/arrival_schedule.h"
-#include "workload/key_stream.h"
 #include "workload/static_distribution.h"
 #include "workload/zipf.h"
 
 namespace pkgstream {
 namespace {
-
-/// Replays a pre-generated arrival-time vector (every technique in a cell
-/// is offered the byte-identical schedule; the checksum covers exactly what
-/// was injected).
-class VectorSchedule final : public workload::ArrivalSchedule {
- public:
-  explicit VectorSchedule(const std::vector<uint64_t>* times)
-      : times_(times) {}
-
-  uint64_t NextMicros() override {
-    PKGSTREAM_CHECK(pos_ < times_->size());
-    return (*times_)[pos_++];
-  }
-
-  void NextBatchMicros(uint64_t* out, size_t n) override {
-    PKGSTREAM_CHECK(pos_ + n <= times_->size());
-    for (size_t i = 0; i < n; ++i) out[i] = (*times_)[pos_ + i];
-    pos_ += n;
-  }
-
-  std::string Name() const override { return "replay"; }
-
- private:
-  const std::vector<uint64_t>* times_;
-  size_t pos_ = 0;
-};
-
-/// Replays a pre-generated key vector (same rationale as VectorSchedule).
-class VectorKeyStream final : public workload::KeyStream {
- public:
-  VectorKeyStream(const std::vector<Key>* keys, uint64_t key_space)
-      : keys_(keys), key_space_(key_space) {}
-
-  Key Next() override {
-    PKGSTREAM_CHECK(pos_ < keys_->size());
-    return (*keys_)[pos_++];
-  }
-
-  void NextBatch(Key* out, size_t n) override {
-    PKGSTREAM_CHECK(pos_ + n <= keys_->size());
-    for (size_t i = 0; i < n; ++i) out[i] = (*keys_)[pos_ + i];
-    pos_ += n;
-  }
-
-  uint64_t KeySpace() const override { return key_space_; }
-  std::string Name() const override { return "replay"; }
-
- private:
-  const std::vector<Key>* keys_;
-  uint64_t key_space_;
-  size_t pos_ = 0;
-};
 
 partition::PartitionerConfig ConfigFor(partition::Technique technique,
                                        uint32_t workers, uint64_t seed) {
@@ -138,110 +83,35 @@ partition::PartitionerConfig ConfigFor(partition::Technique technique,
   return config;
 }
 
-struct CellResult {
-  stats::LatencyHistogram steady{1ULL << 30, 32};
-  stats::LatencyHistogram during{1ULL << 30, 32};
-  stats::LatencyHistogram recovery{1ULL << 30, 32};
-  uint64_t count = 0;                ///< total latencies recorded
-  uint64_t processed = 0;            ///< total messages processed
-  uint64_t reconfigs = 0;            ///< routing events the injector applied
-  uint64_t outage_dead_routed = 0;   ///< phase-1 records on crashed workers
-  double during_imbalance = 0;       ///< max/avg phase-1 load, alive workers
-  partition::RebalancingStats migration;  ///< KG+migration cells only
+/// Phase-1 (outage) load from the per-instance phase histograms: records
+/// on crashed workers (must be zero — routed before t1, a message scheduled
+/// in the outage can only reach an alive worker) and the max/avg load over
+/// the workers that stayed up.
+struct OutageLoad {
+  uint64_t dead_routed = 0;
+  double alive_imbalance = 0;
 };
 
-CellResult RunCell(const partition::PartitionerConfig& config,
-                   uint32_t workers, size_t shards, uint64_t service_us,
-                   const engine::FaultPlan& plan, uint64_t t1, uint64_t t2,
-                   const std::vector<uint32_t>& crashed,
-                   const std::vector<uint64_t>& times,
-                   const std::vector<Key>& keys, uint64_t key_space) {
-  engine::Topology topology;
-  engine::NodeId spout = topology.AddSpout("src", /*parallelism=*/1);
-  engine::LatencySink::Options sink_options;
-  sink_options.model = engine::LatencySink::ServiceModel::kVirtualService;
-  sink_options.service_us = service_us;
-  sink_options.fault_plan = &plan;
-  sink_options.phase_boundaries_us = {t1, t2};
-  engine::NodeId sink = topology.AddOperator(
-      "sink", engine::LatencySink::MakeFactory(sink_options), workers);
-  PKGSTREAM_CHECK_OK(topology.Connect(spout, sink, config));
-  engine::ThreadedRuntimeOptions options;
-  options.queue_capacity = 128;
-  options.shards = shards;
-  auto rt = engine::ThreadedRuntime::Create(&topology, options);
-  PKGSTREAM_CHECK_OK(rt.status());
-
-  engine::OpenLoopClock clock;
-  engine::OpenLoopOptions driver_options;
-  driver_options.pace = false;
-  engine::OpenLoopDriver driver(rt->get(), spout, &clock, driver_options);
-  VectorSchedule schedule(&times);
-  VectorKeyStream key_stream(&keys, key_space);
-  engine::OpenLoopDriver::Source source;
-  source.source = 0;
-  source.schedule = &schedule;
-  source.keys = &key_stream;
-  source.messages = times.size();
-  source.faults = &plan;
-  source.fault_target = sink;
-  auto reports = driver.Run({source});
-  (*rt)->Finish();
-
-  CellResult result;
-  result.reconfigs = reports[0].reconfigs_applied;
-  result.steady = engine::LatencySink::MergedPhaseHistogram(
-      rt->get(), sink, workers, sink_options, 0);
-  result.during = engine::LatencySink::MergedPhaseHistogram(
-      rt->get(), sink, workers, sink_options, 1);
-  result.recovery = engine::LatencySink::MergedPhaseHistogram(
-      rt->get(), sink, workers, sink_options, 2);
-  result.count = result.steady.count() + result.during.count() +
-                 result.recovery.count();
-  for (uint64_t n : (*rt)->Processed(sink)) result.processed += n;
-
-  // Outage accounting from the per-instance phase histograms: phase-1
-  // records on crashed workers (must be zero — routed before t1, a message
-  // scheduled in the outage can only reach an alive worker) and the
-  // max/avg load over the workers that stayed up.
+OutageLoad MeasureOutage(const bench::OpenLoopCell& cell,
+                         const std::vector<uint32_t>& crashed) {
+  OutageLoad outage;
   uint64_t alive_max = 0, alive_sum = 0;
   uint32_t alive_n = 0;
-  for (uint32_t w = 0; w < workers; ++w) {
-    auto* op =
-        dynamic_cast<engine::LatencySink*>((*rt)->GetOperator(sink, w));
-    PKGSTREAM_CHECK(op != nullptr);
-    const uint64_t n = op->phase_histogram(1).count();
+  for (uint32_t w = 0; w < cell.workers(); ++w) {
+    const uint64_t n = cell.Sink(w).phase_histogram(1).count();
     if (std::find(crashed.begin(), crashed.end(), w) != crashed.end()) {
-      result.outage_dead_routed += n;
+      outage.dead_routed += n;
     } else {
       alive_max = std::max(alive_max, n);
       alive_sum += n;
       ++alive_n;
     }
   }
-  result.during_imbalance =
+  outage.alive_imbalance =
       alive_sum == 0 ? 0.0
                      : static_cast<double>(alive_max) /
                            (static_cast<double>(alive_sum) / alive_n);
-
-  if (config.technique == partition::Technique::kRebalancing) {
-    auto* kg = dynamic_cast<const partition::RebalancingKeyGrouping*>(
-        (*rt)->GetPartitioner(spout, sink, 0));
-    PKGSTREAM_CHECK(kg != nullptr);
-    result.migration = kg->stats();
-  }
-  return result;
-}
-
-std::string FormatUs(uint64_t us) {
-  char buf[32];
-  if (us >= 10000) {
-    std::snprintf(buf, sizeof(buf), "%.1fms", static_cast<double>(us) / 1e3);
-  } else {
-    std::snprintf(buf, sizeof(buf), "%lluus",
-                  static_cast<unsigned long long>(us));
-  }
-  return buf;
+  return outage;
 }
 
 }  // namespace
@@ -304,8 +174,7 @@ int main(int argc, char** argv) {
   for (uint32_t w : worker_counts) {
     // Offered load: 20% of aggregate capacity, so the schedule horizon is
     // H = messages / load and the outage timeline scales with --messages.
-    const uint64_t load =
-        static_cast<uint64_t>(w) * (1000000 / service_us) / 5;
+    const uint64_t load = bench::FifthOfCapacity(w, service_us);
     const uint64_t horizon_us = messages * 1000000 / load;
     const uint64_t t1 = 3 * horizon_us / 10;
     const uint64_t t2 = 6 * horizon_us / 10;
@@ -324,72 +193,74 @@ int main(int argc, char** argv) {
     auto plan = engine::FaultPlan::Create(w, std::move(events));
     PKGSTREAM_CHECK_OK(plan.status());
 
-    std::vector<uint64_t> times(messages);
-    std::vector<Key> keys(messages);
-    workload::PoissonSchedule schedule(static_cast<double>(load),
-                                       args.seed ^ w);
-    schedule.NextBatchMicros(times.data(), messages);
-    workload::IidKeyStream key_stream(dist, args.seed * 31 + w);
-    key_stream.NextBatch(keys.data(), messages);
-    uint64_t sched_sum = 0, key_sum = 0;
-    for (uint64_t t : times) sched_sum += t;
-    for (Key k : keys) key_sum += k;
     const std::string w_prefix = "W=" + std::to_string(w) + "/";
     report.AddMetric(w_prefix + "load", static_cast<double>(load));
     report.AddMetric(w_prefix + "t1_us", static_cast<double>(t1));
     report.AddMetric(w_prefix + "stall_us", static_cast<double>(window_us));
-    report.AddMetric(w_prefix + "sched_checksum",
-                     static_cast<double>(sched_sum & 0xffffffffULL));
-    report.AddMetric(w_prefix + "key_checksum",
-                     static_cast<double>(key_sum & 0xffffffffULL));
+    const bench::OpenLoopInput input = bench::MakeOpenLoopInput(
+        load, messages, dist, args.seed, w, w_prefix, &report);
 
     for (const auto& [technique, name] : techniques) {
-      CellResult cell =
-          RunCell(ConfigFor(technique, w, args.seed), w, shards, service_us,
-                  *plan, t1, t2, crashed, times, keys, dist->K());
-      PKGSTREAM_CHECK(cell.processed == messages && cell.count == messages)
+      bench::OpenLoopCellSpec spec;
+      spec.routing = ConfigFor(technique, w, args.seed);
+      spec.runtime.queue_capacity = 128;
+      spec.runtime.shards = shards;
+      spec.service_us = service_us;
+      spec.faults = &*plan;
+      spec.phase_boundaries_us = {t1, t2};
+      const bench::OpenLoopCell cell = bench::OpenLoopCell::Run(spec, input);
+      const stats::LatencyHistogram steady = cell.PhaseHistogram(0);
+      const stats::LatencyHistogram during = cell.PhaseHistogram(1);
+      const stats::LatencyHistogram recovery = cell.PhaseHistogram(2);
+      const uint64_t count = steady.count() + during.count() + recovery.count();
+      PKGSTREAM_CHECK(count == messages)
           << "message loss across crash+rejoin: injected " << messages
-          << ", processed " << cell.processed << ", recorded " << cell.count;
+          << ", recorded " << count;
+      const uint64_t reconfigs = cell.driver().reconfigs_applied;
+      const OutageLoad outage = MeasureOutage(cell, crashed);
       const std::string prefix = w_prefix + name + "/";
-      report.AddMetric(prefix + "count", static_cast<double>(cell.count));
-      report.AddMetric(prefix + "reconfigs",
-                       static_cast<double>(cell.reconfigs));
+      report.AddMetric(prefix + "count", static_cast<double>(count));
+      report.AddMetric(prefix + "reconfigs", static_cast<double>(reconfigs));
       report.AddMetric(prefix + "outage_dead_routed",
-                       static_cast<double>(cell.outage_dead_routed));
+                       static_cast<double>(outage.dead_routed));
       report.AddMetric(prefix + "steady_p99",
-                       static_cast<double>(cell.steady.P99()));
+                       static_cast<double>(steady.P99()));
       report.AddMetric(prefix + "during_p99",
-                       static_cast<double>(cell.during.P99()));
+                       static_cast<double>(during.P99()));
       report.AddMetric(prefix + "during_max",
-                       static_cast<double>(cell.during.max()));
-      report.AddMetric(prefix + "during_imbalance", cell.during_imbalance);
+                       static_cast<double>(during.max()));
+      report.AddMetric(prefix + "during_imbalance", outage.alive_imbalance);
       report.AddMetric(prefix + "recovery_p50",
-                       static_cast<double>(cell.recovery.P50()));
+                       static_cast<double>(recovery.P50()));
       report.AddMetric(prefix + "recovery_p99",
-                       static_cast<double>(cell.recovery.P99()));
+                       static_cast<double>(recovery.P99()));
+      std::string failovers = "-";
       if (technique == partition::Technique::kRebalancing) {
+        // The KG-migration replica of the single source.
+        auto* kg = dynamic_cast<const partition::RebalancingKeyGrouping*>(
+            cell.runtime()->GetPartitioner(cell.spout(), cell.sink(), 0));
+        PKGSTREAM_CHECK(kg != nullptr);
+        const partition::RebalancingStats& migration = kg->stats();
         report.AddMetric(prefix + "failovers",
-                         static_cast<double>(cell.migration.failovers));
+                         static_cast<double>(migration.failovers));
         report.AddMetric(prefix + "keys_moved",
-                         static_cast<double>(cell.migration.keys_moved));
+                         static_cast<double>(migration.keys_moved));
         report.AddMetric(prefix + "state_moved",
-                         static_cast<double>(cell.migration.state_moved));
+                         static_cast<double>(migration.state_moved));
+        failovers = std::to_string(migration.failovers);
       }
-      total_count += cell.count;
-      total_reconfigs += cell.reconfigs;
-      const double ratio = cell.steady.P99() == 0
+      total_count += count;
+      total_reconfigs += reconfigs;
+      const double ratio = steady.P99() == 0
                                ? 0.0
-                               : static_cast<double>(cell.recovery.P99()) /
-                                     static_cast<double>(cell.steady.P99());
+                               : static_cast<double>(recovery.P99()) /
+                                     static_cast<double>(steady.P99());
       char ratio_buf[16];
       std::snprintf(ratio_buf, sizeof(ratio_buf), "%.2fx", ratio);
-      table.AddRow(
-          {std::to_string(w), name, FormatUs(cell.steady.P99()),
-           FormatUs(cell.during.P99()), FormatUs(cell.during.max()),
-           FormatUs(cell.recovery.P99()), ratio_buf,
-           technique == partition::Technique::kRebalancing
-               ? std::to_string(cell.migration.failovers)
-               : "-"});
+      table.AddRow({std::to_string(w), name, bench::FormatUs(steady.P99()),
+                    bench::FormatUs(during.P99()),
+                    bench::FormatUs(during.max()),
+                    bench::FormatUs(recovery.P99()), ratio_buf, failovers});
     }
   }
   report.AddTable(std::move(table));

@@ -8,12 +8,13 @@
 // lock-free mailboxes of a sharded ThreadedRuntime.
 //
 // Latency sweep (deterministic, baseline-pinned): each cell replays the
-// byte-identical checksummed open-loop Poisson schedule + Zipf(1.5,K=1000)
-// key sequence (the bench_latency_under_load methodology) through
-// 1 source -> W kVirtualService LatencySinks with service_us = 5000 —
-// per-worker capacity exactly 200 msgs/sec, host-independent. Offered load
-// is 40*W msgs/sec (20% of aggregate capacity): nobody should hurt, except
-// that a single head key carries p1 ~ 0.39 of the stream:
+// byte-identical checksummed open-loop Poisson schedule + Zipf(1.5,K=1000) key
+// sequence (the bench_latency_under_load methodology, shared through
+// bench/open_loop_cell.h) through 1 source -> W kVirtualService LatencySinks
+// with service_us = 5000 — per-worker capacity exactly 200 msgs/sec,
+// host-independent. Offered load is 40*W msgs/sec (20% of aggregate capacity):
+// nobody should hurt, except that a single head key carries p1 ~ 0.39 of the
+// stream:
 //
 //   KG     the head's worker is offered ~0.39*40*W >> 200 msgs/sec —
 //          saturated at every W; its queue grows for the whole cell.
@@ -54,71 +55,16 @@
 
 #include "apps/wordcount.h"
 #include "bench/bench_util.h"
+#include "bench/open_loop_cell.h"
 #include "bench/report.h"
 #include "common/logging.h"
-#include "engine/open_loop.h"
 #include "engine/threaded_runtime.h"
 #include "partition/factory.h"
-#include "stats/latency_histogram.h"
-#include "workload/arrival_schedule.h"
-#include "workload/key_stream.h"
 #include "workload/static_distribution.h"
 #include "workload/zipf.h"
 
 namespace pkgstream {
 namespace {
-
-/// Replays a pre-generated arrival-time vector (so every technique in a cell
-/// is offered the byte-identical schedule, and the checksum covers exactly
-/// what was injected).
-class VectorSchedule final : public workload::ArrivalSchedule {
- public:
-  explicit VectorSchedule(const std::vector<uint64_t>* times)
-      : times_(times) {}
-
-  uint64_t NextMicros() override {
-    PKGSTREAM_CHECK(pos_ < times_->size());
-    return (*times_)[pos_++];
-  }
-
-  void NextBatchMicros(uint64_t* out, size_t n) override {
-    PKGSTREAM_CHECK(pos_ + n <= times_->size());
-    for (size_t i = 0; i < n; ++i) out[i] = (*times_)[pos_ + i];
-    pos_ += n;
-  }
-
-  std::string Name() const override { return "replay"; }
-
- private:
-  const std::vector<uint64_t>* times_;
-  size_t pos_ = 0;
-};
-
-/// Replays a pre-generated key vector (same rationale as VectorSchedule).
-class VectorKeyStream final : public workload::KeyStream {
- public:
-  VectorKeyStream(const std::vector<Key>* keys, uint64_t key_space)
-      : keys_(keys), key_space_(key_space) {}
-
-  Key Next() override {
-    PKGSTREAM_CHECK(pos_ < keys_->size());
-    return (*keys_)[pos_++];
-  }
-
-  void NextBatch(Key* out, size_t n) override {
-    PKGSTREAM_CHECK(pos_ + n <= keys_->size());
-    for (size_t i = 0; i < n; ++i) out[i] = (*keys_)[pos_ + i];
-    pos_ += n;
-  }
-
-  uint64_t KeySpace() const override { return key_space_; }
-  std::string Name() const override { return "replay"; }
-
- private:
-  const std::vector<Key>* keys_;
-  uint64_t key_space_;
-  size_t pos_ = 0;
-};
 
 /// Cell config, mirroring bench_seq_dchoices: heavy detection guaranteed
 /// (sketch capacity 2W covers every key above the 1/W threshold), D-Choices
@@ -142,55 +88,6 @@ partition::PartitionerConfig ConfigFor(partition::Technique technique,
     config.heavy_min_messages = 100;
   }
   return config;
-}
-
-struct CellResult {
-  stats::LatencyHistogram hist{1ULL << 30, 32};
-  uint64_t processed = 0;
-  double wall_seconds = 0;
-  uint64_t max_lag_us = 0;
-};
-
-CellResult RunCell(const partition::PartitionerConfig& config,
-                   uint32_t workers, size_t shards, uint64_t service_us,
-                   const std::vector<uint64_t>& times,
-                   const std::vector<Key>& keys, uint64_t key_space,
-                   bool pace) {
-  engine::Topology topology;
-  engine::NodeId spout = topology.AddSpout("src", /*parallelism=*/1);
-  engine::LatencySink::Options sink_options;
-  sink_options.model = engine::LatencySink::ServiceModel::kVirtualService;
-  sink_options.service_us = service_us;
-  engine::NodeId sink = topology.AddOperator(
-      "sink", engine::LatencySink::MakeFactory(sink_options), workers);
-  PKGSTREAM_CHECK_OK(topology.Connect(spout, sink, config));
-  engine::ThreadedRuntimeOptions options;
-  options.queue_capacity = 128;
-  options.shards = shards;
-  auto rt = engine::ThreadedRuntime::Create(&topology, options);
-  PKGSTREAM_CHECK_OK(rt.status());
-
-  engine::OpenLoopClock clock;
-  engine::OpenLoopOptions driver_options;
-  driver_options.pace = pace;
-  engine::OpenLoopDriver driver(rt->get(), spout, &clock, driver_options);
-  VectorSchedule schedule(&times);
-  VectorKeyStream key_stream(&keys, key_space);
-  engine::OpenLoopDriver::Source source;
-  source.source = 0;
-  source.schedule = &schedule;
-  source.keys = &key_stream;
-  source.messages = times.size();
-  auto reports = driver.Run({source});
-  (*rt)->Finish();
-
-  CellResult result;
-  result.hist = engine::LatencySink::MergedHistogram(rt->get(), sink, workers,
-                                                     sink_options);
-  for (uint64_t n : (*rt)->Processed(sink)) result.processed += n;
-  result.wall_seconds = static_cast<double>(clock.NowMicros()) / 1e6;
-  result.max_lag_us = reports[0].max_lag_us;
-  return result;
 }
 
 struct WordCountResult {
@@ -247,17 +144,6 @@ WordCountResult RunWordCount(size_t shards, uint32_t workers,
   return r;
 }
 
-std::string FormatUs(uint64_t us) {
-  char buf[32];
-  if (us >= 10000) {
-    std::snprintf(buf, sizeof(buf), "%.1fms", static_cast<double>(us) / 1e3);
-  } else {
-    std::snprintf(buf, sizeof(buf), "%lluus",
-                  static_cast<unsigned long long>(us));
-  }
-  return buf;
-}
-
 }  // namespace
 }  // namespace pkgstream
 
@@ -288,7 +174,6 @@ int main(int argc, char** argv) {
   const uint64_t service_us =
       static_cast<uint64_t>(flags.GetInt("service_us", 5000));
   const size_t shards = static_cast<size_t>(flags.GetInt("shards", 8));
-  const bool pace = flags.GetBool("pace", false);
   PKGSTREAM_CHECK(messages > 0 && service_us > 0 && shards > 0);
 
   const std::vector<uint32_t> worker_counts = {100, 500, 1000};
@@ -307,62 +192,32 @@ int main(int argc, char** argv) {
   report.AddMetric("shards", static_cast<double>(shards));
 
   std::cout << "shards=" << shards << "  service_us=" << service_us
-            << "  messages_per_cell=" << messages
-            << "  pace=" << (pace ? "on" : "off") << "  keys=" << dist->name()
+            << "  messages_per_cell=" << messages << "  keys=" << dist->name()
             << " (p1=" << dist->P1() << ")\n\n";
 
-  Table table({"W", "technique", "count", "p50", "p95", "p99", "p999", "max",
-               "mean us"});
+  Table table(bench::LatencyColumns({"W", "technique"}));
   uint64_t worst_p999 = 0;
   uint64_t saturated_total = 0;
   for (uint32_t w : worker_counts) {
     // Offered load scales with the cluster: 20% of aggregate capacity.
-    const uint64_t load =
-        static_cast<uint64_t>(w) * (1000000 / service_us) / 5;
-    std::vector<uint64_t> times(messages);
-    std::vector<Key> keys(messages);
-    workload::PoissonSchedule schedule(static_cast<double>(load),
-                                       args.seed ^ w);
-    schedule.NextBatchMicros(times.data(), messages);
-    workload::IidKeyStream key_stream(dist, args.seed * 31 + w);
-    key_stream.NextBatch(keys.data(), messages);
-    uint64_t sched_sum = 0, key_sum = 0;
-    for (uint64_t t : times) sched_sum += t;
-    for (Key k : keys) key_sum += k;
+    const uint64_t load = bench::FifthOfCapacity(w, service_us);
     const std::string w_prefix = "W=" + std::to_string(w) + "/";
     report.AddMetric(w_prefix + "load", static_cast<double>(load));
-    report.AddMetric(w_prefix + "sched_checksum",
-                     static_cast<double>(sched_sum & 0xffffffffULL));
-    report.AddMetric(w_prefix + "key_checksum",
-                     static_cast<double>(key_sum & 0xffffffffULL));
+    const bench::OpenLoopInput input = bench::MakeOpenLoopInput(
+        load, messages, dist, args.seed, w, w_prefix, &report);
 
     for (const auto& [technique, name] : techniques) {
-      CellResult cell =
-          RunCell(ConfigFor(technique, w, args.seed), w, shards, service_us,
-                  times, keys, dist->K(), pace);
-      const auto& h = cell.hist;
-      PKGSTREAM_CHECK(cell.processed == messages && h.count() == messages)
-          << "message loss: injected " << messages << ", processed "
-          << cell.processed << ", recorded " << h.count();
-      const std::string prefix = w_prefix + name + "/";
-      report.AddMetric(prefix + "count", static_cast<double>(h.count()));
-      report.AddMetric(prefix + "p50_us", static_cast<double>(h.P50()));
-      report.AddMetric(prefix + "p95_us", static_cast<double>(h.P95()));
-      report.AddMetric(prefix + "p99_us", static_cast<double>(h.P99()));
-      report.AddMetric(prefix + "p999_us", static_cast<double>(h.P999()));
-      report.AddMetric(prefix + "max_us", static_cast<double>(h.max()));
-      report.AddMetric(prefix + "mean_us", h.mean());
-      report.AddMetric(prefix + "saturated",
-                       static_cast<double>(h.saturated()));
-      report.AddHostMetric(prefix + "wall_seconds", cell.wall_seconds);
-      report.AddHostMetric(prefix + "max_inject_lag_us",
-                           static_cast<double>(cell.max_lag_us));
+      bench::OpenLoopCellSpec spec;
+      spec.routing = ConfigFor(technique, w, args.seed);
+      spec.runtime.queue_capacity = 128;
+      spec.runtime.shards = shards;
+      spec.service_us = service_us;
+      const bench::OpenLoopCell cell = bench::OpenLoopCell::Run(spec, input);
+      const auto h =
+          bench::ReportLatency(cell, w_prefix + name + "/",
+                               {std::to_string(w), name}, &report, &table);
       worst_p999 = std::max(worst_p999, h.P999());
       saturated_total += h.saturated();
-      table.AddRow({std::to_string(w), name, std::to_string(h.count()),
-                    FormatUs(h.P50()), FormatUs(h.P95()), FormatUs(h.P99()),
-                    FormatUs(h.P999()), FormatUs(h.max()),
-                    std::to_string(static_cast<uint64_t>(h.mean()))});
     }
   }
   report.AddTable(std::move(table));

@@ -110,31 +110,46 @@ void LatencySink::Process(const Message& msg, Emitter* out) {
   if (!phase_hists_.empty()) phase_hists_[PhaseOf(scheduled)].Record(latency);
 }
 
-stats::LatencyHistogram LatencySink::MergedHistogram(ThreadedRuntime* rt,
-                                                     NodeId sink,
-                                                     uint32_t parallelism,
-                                                     const Options& options) {
+namespace {
+
+/// The one merge loop behind MergedHistogram and MergedPhaseHistogram:
+/// merges `pick(instance)` over every LatencySink instance of `sink`.
+template <typename Pick>
+stats::LatencyHistogram MergeInstances(ThreadedRuntime* rt, NodeId sink,
+                                       uint32_t parallelism,
+                                       const LatencySink::Options& options,
+                                       Pick pick) {
   stats::LatencyHistogram merged(options.histogram_max_us,
                                  options.histogram_sub_buckets);
   for (uint32_t i = 0; i < parallelism; ++i) {
     auto* op = dynamic_cast<LatencySink*>(rt->GetOperator(sink, i));
     PKGSTREAM_CHECK(op != nullptr) << "node is not a LatencySink";
-    merged.Merge(op->histogram());
+    merged.Merge(pick(*op));
   }
   return merged;
+}
+
+}  // namespace
+
+stats::LatencyHistogram LatencySink::MergedHistogram(ThreadedRuntime* rt,
+                                                     NodeId sink,
+                                                     uint32_t parallelism,
+                                                     const Options& options) {
+  return MergeInstances(
+      rt, sink, parallelism, options,
+      [](const LatencySink& op) -> const stats::LatencyHistogram& {
+        return op.histogram();
+      });
 }
 
 stats::LatencyHistogram LatencySink::MergedPhaseHistogram(
     ThreadedRuntime* rt, NodeId sink, uint32_t parallelism,
     const Options& options, size_t phase) {
-  stats::LatencyHistogram merged(options.histogram_max_us,
-                                 options.histogram_sub_buckets);
-  for (uint32_t i = 0; i < parallelism; ++i) {
-    auto* op = dynamic_cast<LatencySink*>(rt->GetOperator(sink, i));
-    PKGSTREAM_CHECK(op != nullptr) << "node is not a LatencySink";
-    merged.Merge(op->phase_histogram(phase));
-  }
-  return merged;
+  return MergeInstances(
+      rt, sink, parallelism, options,
+      [phase](const LatencySink& op) -> const stats::LatencyHistogram& {
+        return op.phase_histogram(phase);
+      });
 }
 
 OperatorFactory LatencySink::MakeFactory(Options options) {

@@ -6,7 +6,9 @@
 //    dropping its host_metrics section);
 //  * export failure — a bench whose --json/--csv write fails must exit
 //    non-zero (a silently missing report would vacuously pass the gate);
-//  * schema — reports carry the fields bench_check keys on.
+//  * schema — reports carry the fields bench_check keys on;
+//  * invalid flags — an out-of-range --service_us dies by CHECK (SIGABRT
+//    naming the flag), never by undefined behaviour.
 //
 // Requires the bench binaries next to the test binary (the ctest working
 // directory); override with PKGSTREAM_BENCH_DIR. Not built when
@@ -15,6 +17,7 @@
 #include <gtest/gtest.h>
 #include <sys/wait.h>
 
+#include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -143,6 +146,28 @@ TEST(BenchExportFailureTest, SuccessfulExportsExitZeroAndParse) {
   EXPECT_NE(csv_text.find("Estimator"), std::string::npos);
   std::remove(json.c_str());
   std::remove(csv.c_str());
+}
+
+TEST(BenchFlagValidationTest, OutOfRangeServiceUsAbortsNamingTheFlag) {
+  // Above 1e6 us a virtual-service sink serves under one msg/sec, so the
+  // offered load (20% of W * 1e6/service_us, integer) rounds to 0: the
+  // benches must reject the flag by CHECK, not divide by zero (SIGFPE).
+  for (const std::string bench :
+       {"bench_threaded_manyworkers", "bench_reconfig"}) {
+    const std::string err = testing::TempDir() + "/" + bench + "_flag.err";
+    // `exec` hands the shell's place to the bench, so a fatal signal shows
+    // in the wait status itself rather than as the shell's 128+N exit code.
+    const int status = std::system(
+        ("exec " + BenchDir() + "/" + bench +
+         " --quick --service_us=2000000 --messages=1000 > /dev/null 2> " + err)
+            .c_str());
+    ASSERT_TRUE(status != -1 && WIFSIGNALED(status))
+        << bench << " was not killed by a signal (status " << status << ")";
+    EXPECT_EQ(WTERMSIG(status), SIGABRT) << bench;
+    EXPECT_NE(ReadFileOrDie(err).find("--service_us"), std::string::npos)
+        << bench << " stderr does not name the flag";
+    std::remove(err.c_str());
+  }
 }
 
 }  // namespace

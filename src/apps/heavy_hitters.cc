@@ -2,12 +2,33 @@
 
 #include "apps/heavy_hitters.h"
 
+#include <utility>
+
 #include "common/logging.h"
 
 namespace pkgstream {
 namespace apps {
 
-HeavyHitterWorker::HeavyHitterWorker(size_t capacity) : summary_(capacity) {}
+int64_t SummaryBoard::Post(const SpaceSaving& summary) {
+  std::lock_guard<std::mutex> lock(mu_);
+  const int64_t ticket = next_ticket_++;
+  posted_.emplace(ticket, summary);
+  return ticket;
+}
+
+SpaceSaving SummaryBoard::Take(int64_t ticket) {
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = posted_.find(ticket);
+  PKGSTREAM_CHECK(it != posted_.end())
+      << "summary ticket " << ticket << " is not on the board";
+  SpaceSaving summary = std::move(it->second);
+  posted_.erase(it);
+  return summary;
+}
+
+HeavyHitterWorker::HeavyHitterWorker(size_t capacity,
+                                     std::shared_ptr<SummaryBoard> board)
+    : summary_(capacity), board_(std::move(board)) {}
 
 void HeavyHitterWorker::Process(const engine::Message& msg,
                                 engine::Emitter* out) {
@@ -18,11 +39,10 @@ void HeavyHitterWorker::Process(const engine::Message& msg,
 
 void HeavyHitterWorker::EmitSummary(engine::Emitter* out) {
   if (summary_.processed() == 0) return;
-  auto snapshot = std::make_shared<const SpaceSaving>(summary_);
   engine::Message m;
   m.key = 0;  // merger is single-instance; key is irrelevant
+  m.i64 = board_->Post(summary_);
   m.tag = kTagSummary;
-  engine::SetBox(&m, std::move(snapshot));
   out->Emit(m);
 }
 
@@ -35,35 +55,36 @@ void HeavyHitterWorker::Tick(uint64_t /*now*/, engine::Emitter* out) {
 
 void HeavyHitterWorker::Close(engine::Emitter* out) { EmitSummary(out); }
 
-HeavyHitterMerger::HeavyHitterMerger(size_t capacity) : merged_(capacity) {}
+HeavyHitterMerger::HeavyHitterMerger(size_t capacity,
+                                     std::shared_ptr<SummaryBoard> board)
+    : merged_(capacity), board_(std::move(board)) {}
 
 void HeavyHitterMerger::Process(const engine::Message& msg,
                                 engine::Emitter* out) {
   (void)out;
   PKGSTREAM_DCHECK(msg.tag == kTagSummary);
-  const auto* summary = msg.BoxAs<SpaceSaving>();
-  PKGSTREAM_CHECK(summary != nullptr) << "summary message without payload";
-  merged_.Merge(*summary);
+  merged_.Merge(board_->Take(msg.i64));
 }
 
 HeavyHitterTopology MakeHeavyHitterTopology(partition::Technique technique,
                                             uint32_t sources, uint32_t workers,
                                             size_t capacity, uint64_t seed) {
   HeavyHitterTopology hh;
+  auto board = std::make_shared<SummaryBoard>();
   hh.spout = hh.topology.AddSpout("items", sources);
   hh.worker = hh.topology.AddOperator(
       "summarizer",
-      [capacity](uint32_t) {
-        return std::make_unique<HeavyHitterWorker>(capacity);
+      [capacity, board](uint32_t) {
+        return std::make_unique<HeavyHitterWorker>(capacity, board);
       },
       workers);
   hh.merger = hh.topology.AddOperator(
       "merger",
-      [capacity, workers](uint32_t) {
+      [capacity, workers, board](uint32_t) {
         // The merged summary needs headroom: worker summaries can disagree
         // on which keys matter, so give the merger W x capacity slots (it
         // still reports only the top-k).
-        return std::make_unique<HeavyHitterMerger>(capacity * workers);
+        return std::make_unique<HeavyHitterMerger>(capacity * workers, board);
       },
       1);
 

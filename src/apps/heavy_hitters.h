@@ -7,7 +7,10 @@
 #ifndef PKGSTREAM_APPS_HEAVY_HITTERS_H_
 #define PKGSTREAM_APPS_HEAVY_HITTERS_H_
 
+#include <cstdint>
 #include <memory>
+#include <mutex>
+#include <unordered_map>
 #include <vector>
 
 #include "stats/space_saving.h"
@@ -24,13 +27,33 @@ using stats::SpaceSaving;
 using stats::SpaceSavingEntry;
 
 /// Tags on the heavy-hitter streams.
-inline constexpr uint32_t kTagItem = 0;     ///< spout -> worker
-inline constexpr uint32_t kTagSummary = 1;  ///< worker -> merger (boxed)
+inline constexpr uint32_t kTagItem = 0;  ///< spout -> worker
+/// worker -> merger: `i64` is the summary's SummaryBoard ticket.
+inline constexpr uint32_t kTagSummary = 1;
+
+/// \brief Where workers leave their summaries for the merger: messages
+/// are plain data, so a worker posts its SPACESAVING snapshot here and
+/// sends only the ticket. One board per topology, shared by its worker and
+/// merger instances; thread-safe.
+class SummaryBoard {
+ public:
+  /// Stores a copy of `summary`; returns its ticket.
+  int64_t Post(const SpaceSaving& summary);
+
+  /// Removes and returns the summary posted under `ticket`. A ticket that
+  /// is not on the board is a fatal error.
+  SpaceSaving Take(int64_t ticket);
+
+ private:
+  std::mutex mu_;
+  int64_t next_ticket_ = 0;
+  std::unordered_map<int64_t, SpaceSaving> posted_;
+};
 
 /// \brief Worker PE: one SPACESAVING summary over its sub-stream.
 class HeavyHitterWorker final : public engine::Operator {
  public:
-  explicit HeavyHitterWorker(size_t capacity);
+  HeavyHitterWorker(size_t capacity, std::shared_ptr<SummaryBoard> board);
 
   void Process(const engine::Message& msg, engine::Emitter* out) override;
   void Tick(uint64_t now, engine::Emitter* out) override;
@@ -43,12 +66,13 @@ class HeavyHitterWorker final : public engine::Operator {
   void EmitSummary(engine::Emitter* out);
 
   SpaceSaving summary_;
+  std::shared_ptr<SummaryBoard> board_;
 };
 
 /// \brief Merger PE: combines worker summaries (Berinde et al. merge).
 class HeavyHitterMerger final : public engine::Operator {
  public:
-  explicit HeavyHitterMerger(size_t capacity);
+  HeavyHitterMerger(size_t capacity, std::shared_ptr<SummaryBoard> board);
 
   void Process(const engine::Message& msg, engine::Emitter* out) override;
   uint64_t MemoryCounters() const override { return merged_.size(); }
@@ -62,6 +86,7 @@ class HeavyHitterMerger final : public engine::Operator {
 
  private:
   SpaceSaving merged_;
+  std::shared_ptr<SummaryBoard> board_;
 };
 
 /// \brief Assembled heavy-hitter topology.
@@ -73,6 +98,7 @@ struct HeavyHitterTopology {
 };
 
 /// \brief spout --technique--> worker xW --(all to one merger)--> merger.
+/// The worker and merger factories share one SummaryBoard.
 HeavyHitterTopology MakeHeavyHitterTopology(partition::Technique technique,
                                             uint32_t sources, uint32_t workers,
                                             size_t capacity, uint64_t seed);

@@ -18,9 +18,10 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <thread>
-#include <utility>
+#include <type_traits>
 
 #include "common/bits.h"
 
@@ -80,8 +81,13 @@ class Backoff {
 /// and exactly one thread the consumer side (TryPop / TryPopBatch).
 /// Capacity is rounded up to a power of two so index wrapping is a mask;
 /// indices are free-running (unsigned overflow is defined and harmless).
+/// Items are plain data: a batch crosses the ring as at most two memcpy
+/// segments, one up to the wrap point and one after it.
 template <typename T>
 class SpscRing {
+  static_assert(std::is_trivially_copyable_v<T>,
+                "SpscRing copies items with memcpy");
+
  public:
   /// Usable capacity is the smallest power of two >= max(min_capacity, 1).
   explicit SpscRing(size_t min_capacity)
@@ -93,25 +99,16 @@ class SpscRing {
 
   size_t capacity() const { return capacity_; }
 
-  /// Producer: enqueues `item`; returns false (item untouched) when full.
-  bool TryPush(T&& item) {
-    const size_t tail = tail_.load(std::memory_order_relaxed);
-    if (tail - head_cache_ >= capacity_) {
-      head_cache_ = head_.load(std::memory_order_acquire);
-      if (tail - head_cache_ >= capacity_) return false;
-    }
-    slots_[tail & mask_] = std::move(item);
-    tail_.store(tail + 1, std::memory_order_seq_cst);
-    return true;
-  }
+  /// Producer: enqueues `item`; returns false when full.
+  bool TryPush(const T& item) { return TryPushBatch(&item, 1) == 1; }
 
   /// Producer: enqueues a prefix of `items[0..n)`; returns how many were
-  /// enqueued (the rest are untouched). One index publication per batch.
+  /// enqueued. One index publication per batch.
   /// Publications are seq_cst stores (release would do for the items
   /// alone) so that a consumer's park handshake — a seq_cst flag store,
   /// then SizeApprox — cannot miss a producer that then missed the flag
   /// (see ThreadedRuntime's ConsumerGate).
-  size_t TryPushBatch(T* items, size_t n) {
+  size_t TryPushBatch(const T* items, size_t n) {
     const size_t tail = tail_.load(std::memory_order_relaxed);
     size_t free_slots = capacity_ - (tail - head_cache_);
     if (free_slots < n) {
@@ -119,10 +116,9 @@ class SpscRing {
       free_slots = capacity_ - (tail - head_cache_);
     }
     const size_t count = n < free_slots ? n : free_slots;
-    for (size_t i = 0; i < count; ++i) {
-      slots_[(tail + i) & mask_] = std::move(items[i]);
-    }
-    if (count > 0) tail_.store(tail + count, std::memory_order_seq_cst);
+    if (count == 0) return 0;
+    CopyIn(tail & mask_, items, count);
+    tail_.store(tail + count, std::memory_order_seq_cst);
     return count;
   }
 
@@ -153,14 +149,26 @@ class SpscRing {
       if (avail == 0) return 0;
     }
     const size_t count = max_n < avail ? max_n : avail;
-    for (size_t i = 0; i < count; ++i) {
-      out[i] = std::move(slots_[(head + i) & mask_]);
-    }
+    CopyOut(head & mask_, out, count);
     head_.store(head + count, std::memory_order_release);
     return count;
   }
 
  private:
+  /// Copies `items[0..n)` into the slots starting at `pos`, wrapping.
+  void CopyIn(size_t pos, const T* items, size_t n) {
+    const size_t first = n < capacity_ - pos ? n : capacity_ - pos;
+    std::memcpy(&slots_[pos], items, first * sizeof(T));
+    std::memcpy(&slots_[0], items + first, (n - first) * sizeof(T));
+  }
+
+  /// Copies `n` slots starting at `pos`, wrapping, into `out[0..n)`.
+  void CopyOut(size_t pos, T* out, size_t n) const {
+    const size_t first = n < capacity_ - pos ? n : capacity_ - pos;
+    std::memcpy(out, &slots_[pos], first * sizeof(T));
+    std::memcpy(out + first, &slots_[0], (n - first) * sizeof(T));
+  }
+
   // Consumer-owned line: pop index plus the cached producer index.
   alignas(kCacheLineSize) std::atomic<size_t> head_{0};
   size_t tail_cache_ = 0;

@@ -48,6 +48,9 @@ struct ThreadedRuntime::ShardInstance {
   Mailbox* mailbox = nullptr;
   std::atomic<uint64_t>* processed = nullptr;
   std::unique_ptr<InstanceEmitter> emitter;
+  /// Pop buffer of one drain round; `active` keeps nested help-drains out
+  /// of it while a round is processing.
+  Message popped[kPopBatch];
 };
 
 /// One shard thread's contiguous, topology-ordered slice of instances,
@@ -148,6 +151,7 @@ Status ThreadedRuntime::Init() {
   edge_replicas_.resize(edges.size());
   edge_producer_base_.resize(edges.size());
   out_edges_.resize(nodes.size());
+  edge_workers_.resize(edges.size());
   out_buffers_.resize(edges.size());
   applied_epochs_.resize(edges.size());
   upstream_counts_.assign(nodes.size(), 0);
@@ -162,10 +166,11 @@ Status ThreadedRuntime::Init() {
     upstream_counts_[edges[e].to.index] += upstream;
     out_edges_[edges[e].from.index].push_back(e);
     const uint32_t downstream = nodes[edges[e].to.index].parallelism;
+    edge_workers_[e] = downstream;
     out_buffers_[e] =
         std::vector<OutBuffer>(static_cast<size_t>(upstream) * downstream);
     for (OutBuffer& buf : out_buffers_[e]) {
-      buf.items = std::make_unique<Item[]>(options_.emit_batch);
+      buf.items = std::make_unique<Message[]>(options_.emit_batch);
     }
   }
 
@@ -250,8 +255,7 @@ ThreadedRuntime::~ThreadedRuntime() { Finish(); }
 
 bool ThreadedRuntime::DrainInstanceOnce(ShardState& st, ShardInstance& si) {
   if (si.done || si.active) return false;
-  Item batch[kPopBatch];
-  const size_t n = si.mailbox->TryPopBatch(batch, kPopBatch);
+  const size_t n = si.mailbox->TryPopBatch(si.popped, kPopBatch);
   if (n == 0 && si.eos_seen < si.expected_eos) return false;
   // One round: Process the batch, bump the per-instance counter once,
   // flush this instance's out-buffers (a consumer never idles on messages
@@ -260,12 +264,12 @@ bool ThreadedRuntime::DrainInstanceOnce(ShardState& st, ShardInstance& si) {
   si.active = true;
   uint64_t handled = 0;
   for (size_t i = 0; i < n; ++i) {
-    if (batch[i].eos) {
+    if (si.popped[i].tag == kEosTag) {
       ++si.eos_seen;
       continue;
     }
     ++handled;
-    si.op->Process(batch[i].msg, si.emitter.get());
+    si.op->Process(si.popped[i], si.emitter.get());
   }
   if (handled > 0) {
     si.processed->fetch_add(handled, std::memory_order_relaxed);
@@ -357,7 +361,8 @@ void ThreadedRuntime::RunShard(uint32_t shard) {
 }
 
 void ThreadedRuntime::PushBlocking(uint32_t from_node, Mailbox& mailbox,
-                                   uint32_t producer, Item* items, size_t n) {
+                                   uint32_t producer, const Message* items,
+                                   size_t n) {
   ShardState* shard = tls_shard_;
   if (shard != nullptr && shard->runtime != this) shard = nullptr;
   size_t done = 0;
@@ -406,19 +411,13 @@ void ThreadedRuntime::MaybeApplyReconfig(uint32_t e, uint32_t instance) {
 }
 
 void ThreadedRuntime::RouteFrom(uint32_t node, uint32_t instance,
-                                Message msg) {
-  const std::vector<uint32_t>& out = out_edges_[node];
-  for (size_t k = 0; k < out.size(); ++k) {
-    const uint32_t e = out[k];
+                                const Message& msg) {
+  PKGSTREAM_CHECK(msg.tag != kEosTag)
+      << "tag " << kEosTag << " is reserved for end-of-stream tokens";
+  for (uint32_t e : out_edges_[node]) {
     MaybeApplyReconfig(e, instance);
-    const WorkerId w = edge_replicas_[e][instance]->Route(instance, msg.key);
-    Item item;
-    if (k + 1 == out.size()) {
-      item.msg = std::move(msg);  // last edge owns it; fan-out copied
-    } else {
-      item.msg = msg;
-    }
-    EnqueueRouted(e, instance, w, std::move(item));
+    EnqueueRouted(e, instance,
+                  edge_replicas_[e][instance]->Route(instance, msg.key), msg);
   }
 }
 
@@ -434,16 +433,20 @@ void ThreadedRuntime::RouteBatchFrom(uint32_t node, uint32_t instance,
   size_t done = 0;
   while (done < n) {
     const size_t len = std::min(kChunk, n - done);
-    for (size_t j = 0; j < len; ++j) keys[j] = msgs[done + j].key;
+    bool reserved = false;
+    for (size_t j = 0; j < len; ++j) {
+      keys[j] = msgs[done + j].key;
+      reserved |= msgs[done + j].tag == kEosTag;
+    }
+    PKGSTREAM_CHECK(!reserved)
+        << "tag " << kEosTag << " is reserved for end-of-stream tokens";
     for (uint32_t e : out) {
       // Each edge's replica consumes the same key order as scalar
-      // injection; per-(edge, destination) FIFO is preserved because
-      // items are enqueued in index order.
+      // routing; per-(edge, destination) FIFO is preserved because
+      // messages are enqueued in index order.
       edge_replicas_[e][instance]->RouteBatch(instance, keys, workers, len);
       for (size_t j = 0; j < len; ++j) {
-        Item item;
-        item.msg = msgs[done + j];
-        EnqueueRouted(e, instance, workers[j], std::move(item));
+        EnqueueRouted(e, instance, workers[j], msgs[done + j]);
       }
     }
     done += len;
@@ -451,25 +454,19 @@ void ThreadedRuntime::RouteBatchFrom(uint32_t node, uint32_t instance,
 }
 
 void ThreadedRuntime::EnqueueRouted(uint32_t edge, uint32_t instance,
-                                    WorkerId worker, Item item) {
-  const uint32_t downstream_parallelism =
-      topology_->nodes()[topology_->edges()[edge].to.index].parallelism;
+                                    WorkerId worker, const Message& msg) {
   OutBuffer& buf =
-      out_buffers_[edge][static_cast<size_t>(instance) *
-                             downstream_parallelism +
+      out_buffers_[edge][static_cast<size_t>(instance) * edge_workers_[edge] +
                          worker];
-  buf.items[buf.count++] = std::move(item);
+  buf.items[buf.count++] = msg;
   if (buf.count == options_.emit_batch) FlushBuffer(edge, instance, worker);
 }
 
 void ThreadedRuntime::FlushBuffer(uint32_t edge, uint32_t instance,
                                   WorkerId worker) {
   const auto& edges = topology_->edges();
-  const uint32_t downstream_parallelism =
-      topology_->nodes()[edges[edge].to.index].parallelism;
   OutBuffer& buf =
-      out_buffers_[edge][static_cast<size_t>(instance) *
-                             downstream_parallelism +
+      out_buffers_[edge][static_cast<size_t>(instance) * edge_workers_[edge] +
                          worker];
   if (buf.count == 0) return;
   PushBlocking(edges[edge].from.index,
@@ -481,51 +478,22 @@ void ThreadedRuntime::FlushBuffer(uint32_t edge, uint32_t instance,
 
 void ThreadedRuntime::FlushOutBuffers(uint32_t node, uint32_t instance) {
   for (uint32_t e : out_edges_[node]) {
-    const uint32_t downstream_parallelism =
-        topology_->nodes()[topology_->edges()[e].to.index].parallelism;
-    for (WorkerId w = 0; w < downstream_parallelism; ++w) {
+    for (WorkerId w = 0; w < edge_workers_[e]; ++w) {
       FlushBuffer(e, instance, w);
     }
   }
 }
 
 void ThreadedRuntime::SendEos(uint32_t node, uint32_t instance) {
-  const auto& edges = topology_->edges();
+  Message eos;
+  eos.tag = kEosTag;
   for (uint32_t e : out_edges_[node]) {
-    const uint32_t downstream = edges[e].to.index;
-    for (uint32_t w = 0; w < topology_->nodes()[downstream].parallelism;
-         ++w) {
-      Item item[1];
-      item[0].eos = true;
+    const uint32_t downstream = topology_->edges()[e].to.index;
+    for (uint32_t w = 0; w < edge_workers_[e]; ++w) {
       PushBlocking(node, *mailboxes_[downstream][w],
-                   edge_producer_base_[e] + instance, item, 1);
+                   edge_producer_base_[e] + instance, &eos, 1);
     }
   }
-}
-
-void ThreadedRuntime::Inject(NodeId spout, SourceId source, Message msg) {
-  PKGSTREAM_CHECK(!finished_.load(std::memory_order_acquire))
-      << "Inject after Finish";
-  PKGSTREAM_CHECK(spout.index < topology_->nodes().size());
-  PKGSTREAM_CHECK(topology_->nodes()[spout.index].is_spout);
-  PKGSTREAM_CHECK(source < topology_->nodes()[spout.index].parallelism);
-  // Each spout instance is one logical producer: its partitioner replicas
-  // and rings are single-threaded state, so concurrent Inject calls for
-  // the same source serialize here (uncontended in the canonical
-  // one-thread-per-source arrangement).
-  std::lock_guard<std::mutex> lock(*inject_mutexes_[spout.index][source]);
-  // Re-validate under the lock: Finish() may have won the race since the
-  // unlocked check above and already sent this source's EOS, in which
-  // case pushing would silently lose the message (or hang on a full ring
-  // nobody drains). Failing loudly keeps the must-not-race contract
-  // checkable.
-  PKGSTREAM_CHECK(!finished_.load(std::memory_order_acquire))
-      << "Inject raced with Finish";
-  processed_[processed_base_[spout.index] + source].value.fetch_add(
-      1, std::memory_order_relaxed);
-  RouteFrom(spout.index, source, std::move(msg));
-  // The call is the spout's input batch: publish before returning.
-  FlushOutBuffers(spout.index, source);
 }
 
 void ThreadedRuntime::InjectBatch(NodeId spout, SourceId source,
@@ -536,15 +504,23 @@ void ThreadedRuntime::InjectBatch(NodeId spout, SourceId source,
   PKGSTREAM_CHECK(topology_->nodes()[spout.index].is_spout);
   PKGSTREAM_CHECK(source < topology_->nodes()[spout.index].parallelism);
   if (n == 0) return;  // validated no-op, same as LogicalRuntime's
-  // One lock acquisition, one counter update and one RouteBatch per
-  // outbound edge cover the whole batch (see Inject for the locking
-  // contract).
+  // Each spout instance is one logical producer: its partitioner replicas
+  // and rings are single-threaded state, so concurrent calls for the same
+  // source serialize here (uncontended in the canonical one-thread-per-
+  // source arrangement). One lock acquisition, one counter update and one
+  // RouteBatch per outbound edge cover the whole batch.
   std::lock_guard<std::mutex> lock(*inject_mutexes_[spout.index][source]);
+  // Re-validate under the lock: Finish() may have won the race since the
+  // unlocked check above and already sent this source's EOS, in which
+  // case pushing would silently lose the messages (or hang on a full ring
+  // nobody drains). Failing loudly keeps the must-not-race contract
+  // checkable.
   PKGSTREAM_CHECK(!finished_.load(std::memory_order_acquire))
       << "Inject raced with Finish";
   processed_[processed_base_[spout.index] + source].value.fetch_add(
       n, std::memory_order_relaxed);
   RouteBatchFrom(spout.index, source, msgs, n);
+  // The call is the spout's input batch: publish before returning.
   FlushOutBuffers(spout.index, source);
 }
 

@@ -31,11 +31,13 @@
 //    approximation (LogicalRuntime remains their coordinated reference);
 //  * per-instance processed counters live in cache-line-padded cells, so
 //    16 executors incrementing them share no lines;
-//  * shutdown is EOS-based: Finish() sends one EOS token per upstream
-//    instance down every edge; an instance Close()s after its last
-//    upstream EOS arrives and forwards EOS, and a shard thread exits once
-//    all its instances have. This is the classic dataflow termination
-//    protocol, deadlock-free on DAGs.
+//  * ring slots are Messages, plain 40-byte data copied with memcpy; the
+//    engine reserves tag kEosTag (message.h) for its own control tokens;
+//  * shutdown is EOS-based: Finish() sends one EOS token (a message tagged
+//    kEosTag) per upstream instance down every edge; an instance Close()s
+//    after its last upstream EOS arrives and forwards EOS, and a shard
+//    thread exits once all its instances have. This is the classic
+//    dataflow termination protocol, deadlock-free on DAGs.
 //
 // Shards: all N operator instances run on M shard threads
 // (ThreadedRuntimeOptions::shards; the default gives every instance its
@@ -190,14 +192,16 @@ class ThreadedRuntime {
 
   ~ThreadedRuntime();
 
-  /// Thread-safe: injects one message at `spout` instance `source`. May
-  /// block when a downstream ring is full. Concurrent calls for the same
-  /// source instance are serialized internally (each source is a single
-  /// logical producer). Must not be called after Finish(). The message is
-  /// moved into the out-buffer/ring (copied only on spout fan-out) — pass
-  /// an rvalue to make injection copy-free. It is published downstream
-  /// before the call returns.
-  void Inject(NodeId spout, SourceId source, Message msg);
+  /// Thread-safe: injects one message at `spout` instance `source`; the
+  /// same as InjectBatch(spout, source, &msg, 1). May block when a
+  /// downstream ring is full. Concurrent calls for the same source
+  /// instance are serialized internally (each source is a single logical
+  /// producer). Must not be called after Finish(). The message is
+  /// published downstream before the call returns; its tag must not be
+  /// kEosTag.
+  void Inject(NodeId spout, SourceId source, const Message& msg) {
+    InjectBatch(spout, source, &msg, 1);
+  }
 
   /// Thread-safe batch injection from one source: takes the source's
   /// inject lock once, routes the whole batch per outbound edge through
@@ -206,7 +210,7 @@ class ThreadedRuntime {
   /// messages to the per-(edge, destination) emit out-buffers directly.
   /// Per-ring FIFO order is preserved per edge; messages are published in
   /// batches of up to emit_batch per destination, the last partial batch
-  /// before the call returns.
+  /// before the call returns. A message tagged kEosTag is a fatal error.
   void InjectBatch(NodeId spout, SourceId source, const Message* msgs,
                    size_t n);
 
@@ -263,12 +267,6 @@ class ThreadedRuntime {
 
  private:
   ThreadedRuntime(const Topology* topology, ThreadedRuntimeOptions options);
-
-  /// Ring slot: a data message or an EOS token from one upstream instance.
-  struct Item {
-    Message msg;
-    bool eos = false;
-  };
 
   /// Items popped per consumer round; amortizes ring synchronization and
   /// wakeups over up to this many messages.
@@ -338,7 +336,7 @@ class ThreadedRuntime {
       rings_.reserve(producers);
       for (uint32_t p = 0; p < producers; ++p) {
         rings_.push_back(
-            std::make_unique<SpscRing<Item>>(capacity_per_producer));
+            std::make_unique<SpscRing<Message>>(capacity_per_producer));
       }
     }
 
@@ -346,7 +344,7 @@ class ThreadedRuntime {
     /// Enqueues a prefix of `items[0..n)` with one index publication and
     /// at most one consumer wakeup; returns how many were enqueued (0 when
     /// the ring is full — blocking policy is the caller's).
-    size_t TryPushBatch(uint32_t producer, Item* items, size_t n) {
+    size_t TryPushBatch(uint32_t producer, const Message* items, size_t n) {
       const size_t pushed = rings_[producer]->TryPushBatch(items, n);
       // Wake after every partial publication so a tiny ring cannot strand
       // the remainder behind a parked consumer.
@@ -356,7 +354,7 @@ class ThreadedRuntime {
 
     /// Consumer side, non-blocking: pops up to `max_n` items (all from one
     /// ring, round-robin across producers) into `out`; returns the count.
-    size_t TryPopBatch(Item* out, size_t max_n) {
+    size_t TryPopBatch(Message* out, size_t max_n) {
       const size_t n = rings_.size();
       for (size_t i = 0; i < n; ++i) {
         if (cursor_ >= n) cursor_ = 0;
@@ -376,7 +374,7 @@ class ThreadedRuntime {
     }
 
    private:
-    std::vector<std::unique_ptr<SpscRing<Item>>> rings_;
+    std::vector<std::unique_ptr<SpscRing<Message>>> rings_;
     size_t cursor_ = 0;  // consumer-local round-robin position
     ConsumerGate* gate_;
   };
@@ -395,7 +393,7 @@ class ThreadedRuntime {
   /// injector serialized by the source's inject mutex). Holds emit_batch
   /// slots, so emit_batch == 1 flushes on every message.
   struct OutBuffer {
-    std::unique_ptr<Item[]> items;
+    std::unique_ptr<Message[]> items;
     size_t count = 0;
   };
 
@@ -441,18 +439,17 @@ class ThreadedRuntime {
   /// help-drain the shard's own higher-rank instances instead of pure
   /// spinning — see ShardHelpDrain. `from_node` is the producing node.
   void PushBlocking(uint32_t from_node, Mailbox& mailbox, uint32_t producer,
-                    Item* items, size_t n);
-  /// Routes `msg` on every outbound edge of (node, instance), moving it
-  /// into the last edge's item (true fan-out copies for the rest).
-  void RouteFrom(uint32_t node, uint32_t instance, Message msg);
-  /// Batch form of RouteFrom for one spout instance; caller holds the
-  /// source's inject mutex.
+                    const Message* items, size_t n);
+  /// Routes one bolt emit on every outbound edge of (node, instance).
+  void RouteFrom(uint32_t node, uint32_t instance, const Message& msg);
+  /// Batch routing for one spout instance; caller holds the source's
+  /// inject mutex.
   void RouteBatchFrom(uint32_t node, uint32_t instance, const Message* msgs,
                       size_t n);
-  /// Enqueues one routed item on edge `e` towards `w`: parks it in the
-  /// (edge, instance, worker) out-buffer, flushing a full batch.
+  /// Enqueues one routed message on edge `e` towards `w`: copies it into
+  /// the (edge, instance, worker) out-buffer, flushing a full batch.
   void EnqueueRouted(uint32_t edge, uint32_t instance, WorkerId worker,
-                     Item item);
+                     const Message& msg);
   /// Publishes one (edge, instance, worker) out-buffer downstream.
   void FlushBuffer(uint32_t edge, uint32_t instance, WorkerId worker);
   /// Publishes every pending out-buffer of (node, instance); called at the
@@ -478,6 +475,8 @@ class ThreadedRuntime {
   std::vector<uint32_t> edge_producer_base_;
   /// Outbound edge indices per node (hot-path scan avoidance).
   std::vector<std::vector<uint32_t>> out_edges_;
+  /// Downstream parallelism per edge (out-buffer indexing).
+  std::vector<uint32_t> edge_workers_;
   /// out_buffers_[e][s * downstream_parallelism + w]: the emit batch of
   /// upstream instance `s` of edge `e` towards worker `w`.
   std::vector<std::vector<OutBuffer>> out_buffers_;

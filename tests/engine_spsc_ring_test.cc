@@ -10,6 +10,7 @@
 #include <thread>
 #include <vector>
 
+#include "engine/message.h"
 #include "engine/spsc_ring.h"
 
 namespace pkgstream {
@@ -66,6 +67,57 @@ TEST(SpscRingTest, BatchOpsMovePrefixes) {
   EXPECT_EQ(out[0], 2);
   EXPECT_EQ(out[1], 3);
   EXPECT_EQ(ring.TryPopBatch(out, 8), 0u);
+}
+
+TEST(SpscRingTest, BatchesStraddlingTheWrapPointCopyBothSegments) {
+  // Capacity 8, batches of 5 starting 6 slots in: every push and pop batch
+  // of a lap covers slots 6, 7 | 0, 1, 2 — a non-empty memcpy segment on
+  // each side of the wrap point. 40-byte Messages make each element span
+  // several words. Sequence numbers are the free-running indices, so each
+  // element's fields pin where in the stream it sat.
+  SpscRing<Message> ring(8);
+  Message in[8];
+  Message out[8];
+  uint64_t pushed = 0;
+  uint64_t popped = 0;
+  for (uint64_t lap = 0; lap < 6; ++lap) {
+    // Advance both indices to slot 6 of this lap.
+    for (size_t i = 0; i < 6; ++i) in[i].key = pushed++;
+    ASSERT_EQ(ring.TryPushBatch(in, 6), 6u);
+    ASSERT_EQ(ring.TryPopBatch(out, 8), 6u);
+    for (size_t i = 0; i < 6; ++i) EXPECT_EQ(out[i].key, popped++);
+    // The straddling batch: slots 6, 7, then 0, 1, 2.
+    for (size_t i = 0; i < 5; ++i) {
+      in[i].key = pushed;
+      in[i].i64 = -static_cast<int64_t>(pushed);
+      in[i].f64 = static_cast<double>(pushed) + 0.5;
+      in[i].tag = static_cast<uint32_t>(lap);
+      in[i].ts = ~pushed;
+      ++pushed;
+    }
+    ASSERT_EQ(ring.TryPushBatch(in, 5), 5u);
+    EXPECT_EQ(ring.SizeApprox(), 5u);
+    ASSERT_EQ(ring.TryPopBatch(out, 8), 5u);
+    for (size_t i = 0; i < 5; ++i) {
+      EXPECT_EQ(out[i].key, popped);
+      EXPECT_EQ(out[i].i64, -static_cast<int64_t>(popped));
+      EXPECT_EQ(out[i].f64, static_cast<double>(popped) + 0.5);
+      EXPECT_EQ(out[i].tag, lap);
+      EXPECT_EQ(out[i].ts, ~popped);
+      ++popped;
+    }
+    EXPECT_EQ(ring.SizeApprox(), 0u);
+    // Bring both indices back to a multiple of the capacity: 11 + 5 = 16,
+    // two laps of the 8 slots per loop iteration.
+    for (size_t i = 0; i < 5; ++i) in[i].key = pushed++;
+    ASSERT_EQ(ring.TryPushBatch(in, 5), 5u);
+    ASSERT_EQ(ring.TryPopBatch(out, 8), 5u);
+    for (size_t i = 0; i < 5; ++i) EXPECT_EQ(out[i].key, popped++);
+  }
+  EXPECT_EQ(pushed, 6u * 16u);
+  EXPECT_EQ(popped, pushed);
+  Message none;
+  EXPECT_FALSE(ring.TryPop(&none));
 }
 
 TEST(SpscRingTest, SizeApproxTracksOccupancyWhenQuiescent) {

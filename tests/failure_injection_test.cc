@@ -321,7 +321,7 @@ TEST(FailureInjectionTest, EventSimWithUnknownDatasetScaleStillBounded) {
 }
 
 TEST(FailureInjectionTest, MergerToleratesEmptySummaries) {
-  apps::HeavyHitterWorker worker(8);
+  apps::HeavyHitterWorker worker(8, std::make_shared<apps::SummaryBoard>());
   class CollectingEmitter : public engine::Emitter {
    public:
     void Emit(const engine::Message& m) override { messages.push_back(m); }
@@ -332,15 +332,16 @@ TEST(FailureInjectionTest, MergerToleratesEmptySummaries) {
   EXPECT_TRUE(emitter.messages.empty());
 }
 
-TEST(FailureInjectionDeathTest, SummaryWithoutPayloadDies) {
-  apps::HeavyHitterMerger merger(8);
+TEST(FailureInjectionDeathTest, SummaryWithUnknownTicketDies) {
+  apps::HeavyHitterMerger merger(8, std::make_shared<apps::SummaryBoard>());
   engine::Message bogus;
-  bogus.tag = apps::kTagSummary;  // tag says summary, but box is empty
+  bogus.tag = apps::kTagSummary;  // tag says summary, but the board is empty
+  bogus.i64 = 3;
   class Nop : public engine::Emitter {
    public:
     void Emit(const engine::Message&) override {}
   } nop;
-  EXPECT_DEATH(merger.Process(bogus, &nop), "payload");
+  EXPECT_DEATH(merger.Process(bogus, &nop), "summary ticket 3");
 }
 
 }  // namespace

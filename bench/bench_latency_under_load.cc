@@ -46,19 +46,12 @@
 #include "bench/bench_util.h"
 #include "bench/open_loop_cell.h"
 #include "bench/report.h"
-#include "common/logging.h"
 #include "partition/factory.h"
 #include "workload/static_distribution.h"
 #include "workload/zipf.h"
 
 int main(int argc, char** argv) {
   using namespace pkgstream;
-  Flags flags;
-  Status s = Flags::Parse(argc, argv, &flags);
-  if (!s.ok()) {
-    std::cerr << "flag error: " << s << "\n";
-    return 2;
-  }
   bench::BenchArgs args = bench::ParseBenchArgs(argc, argv);
   const char* title =
       "Tail latency under open-loop load: KG vs SG vs PKG-L on skewed keys";
@@ -73,13 +66,12 @@ int main(int argc, char** argv) {
   // overdrives KG's hot worker long enough for an unambiguous tail.
   uint64_t cell_ms = args.quick ? 500 : 2000;
   if (args.full) cell_ms = 8000;
-  cell_ms = static_cast<uint64_t>(
-      flags.GetInt("cell_ms", static_cast<int64_t>(cell_ms)));
-  const uint64_t service_us =
-      static_cast<uint64_t>(flags.GetInt("service_us", 50));
-  const uint32_t workers =
-      static_cast<uint32_t>(flags.GetInt("workers", 4));
-  PKGSTREAM_CHECK(cell_ms > 0 && service_us > 0 && workers > 0);
+  cell_ms =
+      bench::PositiveIntFlag(args.flags, "cell_ms", cell_ms, bench::kMaxCellMs);
+  const uint64_t service_us = bench::PositiveIntFlag(
+      args.flags, "service_us", 50, bench::kMaxServiceUs);
+  const auto workers = static_cast<uint32_t>(
+      bench::PositiveIntFlag(args.flags, "workers", 4, bench::kMaxThreads));
 
   // Per-worker capacity is 1e6/service_us = 20k msgs/sec (80k aggregate).
   // 8k/s: everyone idle. 32k/s: KG's hot worker (~0.54 share -> ~17.3k/s)

@@ -119,12 +119,6 @@ OutageLoad MeasureOutage(const bench::OpenLoopCell& cell,
 
 int main(int argc, char** argv) {
   using namespace pkgstream;
-  Flags flags;
-  Status s = Flags::Parse(argc, argv, &flags);
-  if (!s.ok()) {
-    std::cerr << "flag error: " << s << "\n";
-    return 2;
-  }
   bench::BenchArgs args = bench::ParseBenchArgs(argc, argv);
   const char* title =
       "Fault injection + live reconfiguration: crash/stall/rejoin at "
@@ -137,12 +131,13 @@ int main(int argc, char** argv) {
 
   uint64_t messages = args.quick ? 20000 : 40000;
   if (args.full) messages = 100000;
-  messages = static_cast<uint64_t>(
-      flags.GetInt("messages", static_cast<int64_t>(messages)));
-  const uint64_t service_us =
-      static_cast<uint64_t>(flags.GetInt("service_us", 5000));
-  const size_t shards = static_cast<size_t>(flags.GetInt("shards", 8));
-  PKGSTREAM_CHECK(messages >= 1000 && service_us > 0 && shards > 0);
+  messages = bench::PositiveIntFlag(args.flags, "messages", messages,
+                                    bench::kMaxMessages);
+  const uint64_t service_us = bench::PositiveIntFlag(
+      args.flags, "service_us", 5000, bench::kMaxServiceUs);
+  const size_t shards =
+      bench::PositiveIntFlag(args.flags, "shards", 8, bench::kMaxThreads);
+  PKGSTREAM_CHECK(messages >= 1000) << "--messages must be >= 1000";
 
   const std::vector<uint32_t> worker_counts = {50, 500};
   const std::vector<std::pair<partition::Technique, std::string>> techniques =

@@ -34,31 +34,17 @@
 // 1000-message default): these cells replay short streams and the warm-up
 // transient — heavy keys still on the 2-choice path — must stay well under
 // 1% of the stream so it cannot masquerade as steady-state tail.
-//
-// Throughput leg (host-dependent, host_metrics + host invariants): the
-// multi-stage wordcount pipeline (2 spouts -> 8 counters -> 1 aggregator,
-// PKG-L) run closed-loop twice — one shard per instance (shards=0, the
-// default) vs shards=4 — must agree on totals (deterministic metric) and
-// stay within a generous wall-clock factor of each other (the baseline's
-// invariants still call the first layout "thread-per-instance": one shard
-// per instance is one thread per instance).
 
 #include <algorithm>
-#include <chrono>
-#include <cstdio>
 #include <iostream>
 #include <memory>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
-#include "apps/wordcount.h"
 #include "bench/bench_util.h"
 #include "bench/open_loop_cell.h"
 #include "bench/report.h"
-#include "common/logging.h"
-#include "engine/threaded_runtime.h"
 #include "partition/factory.h"
 #include "workload/static_distribution.h"
 #include "workload/zipf.h"
@@ -90,71 +76,11 @@ partition::PartitionerConfig ConfigFor(partition::Technique technique,
   return config;
 }
 
-struct WordCountResult {
-  double msgs_per_sec = 0;
-  uint64_t total = 0;  // sum of aggregator totals == messages injected
-};
-
-/// Closed-loop multi-stage run: 2 spouts -> `workers` counters (PKG-L) ->
-/// 1 aggregator, one injector thread per spout instance.
-WordCountResult RunWordCount(size_t shards, uint32_t workers,
-                             uint64_t messages_per_source, uint64_t seed) {
-  constexpr uint32_t kSources = 2;
-  apps::WordCountTopology wc = apps::MakeWordCountTopology(
-      partition::Technique::kPkgLocal, kSources, workers, /*tick_period=*/0,
-      /*topk=*/5, seed);
-  engine::ThreadedRuntimeOptions options;
-  options.queue_capacity = 256;
-  options.shards = shards;
-  auto rt = engine::ThreadedRuntime::Create(&wc.topology, options);
-  PKGSTREAM_CHECK_OK(rt.status());
-  auto dist = std::make_shared<const workload::StaticDistribution>(
-      workload::ZipfWeights(1000, 1.5), "zipf(1.5,K=1000)");
-  const auto start = std::chrono::steady_clock::now();
-  std::vector<std::thread> injectors;
-  for (uint32_t s = 0; s < kSources; ++s) {
-    injectors.emplace_back([&, s] {
-      workload::IidKeyStream stream(dist, seed * 131 + s);
-      constexpr size_t kBatch = 256;
-      Key keys[kBatch];
-      engine::Message batch[kBatch];
-      for (uint64_t i = 0; i < messages_per_source;) {
-        const size_t len = static_cast<size_t>(
-            std::min<uint64_t>(kBatch, messages_per_source - i));
-        stream.NextBatch(keys, len);
-        for (size_t j = 0; j < len; ++j) {
-          batch[j].key = keys[j];
-          batch[j].tag = apps::kTagWord;
-        }
-        (*rt)->InjectBatch(wc.spout, s, batch, len);
-        i += len;
-      }
-    });
-  }
-  for (auto& t : injectors) t.join();
-  (*rt)->Finish();
-  const std::chrono::duration<double> elapsed =
-      std::chrono::steady_clock::now() - start;
-  WordCountResult r;
-  auto* agg = static_cast<apps::TopKAggregator*>(
-      (*rt)->GetOperator(wc.aggregator, 0));
-  for (const auto& [key, count] : agg->totals()) r.total += count;
-  r.msgs_per_sec =
-      static_cast<double>(kSources * messages_per_source) / elapsed.count();
-  return r;
-}
-
 }  // namespace
 }  // namespace pkgstream
 
 int main(int argc, char** argv) {
   using namespace pkgstream;
-  Flags flags;
-  Status s = Flags::Parse(argc, argv, &flags);
-  if (!s.ok()) {
-    std::cerr << "flag error: " << s << "\n";
-    return 2;
-  }
   bench::BenchArgs args = bench::ParseBenchArgs(argc, argv);
   const char* title =
       "Many-worker sharded runtime: D/W-Choices vs PKG at W=100-1000";
@@ -169,12 +95,12 @@ int main(int argc, char** argv) {
   // of every cell identical.
   uint64_t messages = args.quick ? 20000 : 40000;
   if (args.full) messages = 100000;
-  messages = static_cast<uint64_t>(
-      flags.GetInt("messages", static_cast<int64_t>(messages)));
-  const uint64_t service_us =
-      static_cast<uint64_t>(flags.GetInt("service_us", 5000));
-  const size_t shards = static_cast<size_t>(flags.GetInt("shards", 8));
-  PKGSTREAM_CHECK(messages > 0 && service_us > 0 && shards > 0);
+  messages = bench::PositiveIntFlag(args.flags, "messages", messages,
+                                    bench::kMaxMessages);
+  const uint64_t service_us = bench::PositiveIntFlag(
+      args.flags, "service_us", 5000, bench::kMaxServiceUs);
+  const size_t shards =
+      bench::PositiveIntFlag(args.flags, "shards", 8, bench::kMaxThreads);
 
   const std::vector<uint32_t> worker_counts = {100, 500, 1000};
   const std::vector<std::pair<partition::Technique, std::string>> techniques =
@@ -222,32 +148,6 @@ int main(int argc, char** argv) {
   }
   report.AddTable(std::move(table));
 
-  // Multi-stage throughput: the same wordcount pipeline, one shard per
-  // instance vs 4 shards. Totals are interleaving-independent
-  // (deterministic metric); rates are wall-clock (host metrics, compared
-  // only as ratios).
-  const uint64_t wc_messages = args.quick ? 40000 : 100000;
-  WordCountResult per_instance =
-      RunWordCount(/*shards=*/0, /*workers=*/8, wc_messages, args.seed);
-  WordCountResult sharded =
-      RunWordCount(/*shards=*/4, /*workers=*/8, wc_messages, args.seed);
-  PKGSTREAM_CHECK(per_instance.total == sharded.total)
-      << "sharded wordcount totals diverge: " << per_instance.total << " vs "
-      << sharded.total;
-  const double ratio = sharded.msgs_per_sec / per_instance.msgs_per_sec;
-  report.AddMetric("throughput/wordcount_total",
-                   static_cast<double>(sharded.total));
-  report.AddHostMetric("throughput/per_instance_mps",
-                       per_instance.msgs_per_sec);
-  report.AddHostMetric("throughput/sharded_mps", sharded.msgs_per_sec);
-  report.AddHostMetric("throughput/sharded_vs_per_instance", ratio);
-  std::printf(
-      "\nwordcount 2 spouts -> 8 counters -> 1 aggregator, %llu msgs:\n"
-      "  one shard per instance %.2fM msg/s, 4 shards %.2fM msg/s "
-      "(ratio %.2fx)\n",
-      static_cast<unsigned long long>(2 * wc_messages),
-      per_instance.msgs_per_sec / 1e6, sharded.msgs_per_sec / 1e6, ratio);
-
   report.AddText(
       "Expected shape (the sequel's headline, through the real sharded\n"
       "engine): at 20% average utilization the only danger is the Zipf head\n"
@@ -256,9 +156,7 @@ int main(int argc, char** argv) {
       "unboundedly for the length of the cell. D-Choices / W-Choices detect\n"
       "the head and spread it over ~p*W/eps (or all) workers, so their p99\n"
       "stays within a small factor of shuffle grouping's — two choices are\n"
-      "not enough at W >= 100, a few more for the head suffice. Latencies\n"
-      "are virtual-service (deterministic); wall-clock throughput of the\n"
-      "multi-stage wordcount run lands in host_metrics only.");
+      "not enough at W >= 100, a few more for the head suffice.");
 
   // One greppable line for the CI reproduction-gate job.
   std::cout << "[bench_threaded_manyworkers] manyworkers-complete:"

@@ -5,7 +5,7 @@
 // latency, not just imbalance: "the average latency with KG is up to 45%
 // larger than with PKG").
 //
-// The closed-loop injectors used by the scaling benches inject as fast as
+// Closed-loop injectors (pkgbench's word counts) inject as fast as
 // the system accepts: when a hot worker backs up, backpressure slows the
 // injector, the offered load silently adapts, and queueing delay never
 // shows up in the numbers (coordinated omission). The OpenLoopDriver is

@@ -1,14 +1,15 @@
 // Copyright 2026 The pkgstream Authors.
 // End-to-end tests over the real bench binaries (spawned as subprocesses):
 //  * determinism — every paper bench run twice at --quick with the same
-//    seed produces byte-identical JSON reports (bench_threaded_scaling,
-//    the one bench with wall-clock numbers, must be identical after
-//    dropping its host_metrics section);
+//    seed produces byte-identical JSON reports (bench_latency_under_load
+//    and bench_threaded_manyworkers, which record wall-clock injection
+//    lag, must be identical after dropping their host_metrics sections);
 //  * export failure — a bench whose --json/--csv write fails must exit
 //    non-zero (a silently missing report would vacuously pass the gate);
 //  * schema — reports carry the fields bench_check keys on;
-//  * invalid flags — an out-of-range --service_us dies by CHECK (SIGABRT
-//    naming the flag), never by undefined behaviour.
+//  * invalid flags — a malformed or non-positive integer flag exits 2
+//    naming the flag before anything runs; an out-of-range --service_us
+//    dies by CHECK (SIGABRT naming the flag), never by undefined behaviour.
 //
 // Requires the bench binaries next to the test binary (the ctest working
 // directory); override with PKGSTREAM_BENCH_DIR. Not built when
@@ -36,8 +37,8 @@ const char* kPaperBenches[] = {
     "bench_fig4_skewed_sources",  "bench_fig5a_throughput",
     "bench_fig5b_memory",         "bench_ablation_choices",
     "bench_ablation_probing",     "bench_ablation_rebalance",
-    "bench_threaded_scaling",    "bench_latency_under_load",
-    "bench_threaded_manyworkers",  "bench_reconfig",
+    "bench_latency_under_load",   "bench_threaded_manyworkers",
+    "bench_reconfig",
 };
 
 std::string BenchDir() {
@@ -68,7 +69,6 @@ std::string ReadFileOrDie(const std::string& path) {
 /// Extra flags keeping a bench fast enough for a doubled CI run.
 std::string QuickFlags(const std::string& bench) {
   std::string flags = "--quick --seed=42";
-  if (bench == "bench_threaded_scaling") flags += " --messages=2000";
   if (bench == "bench_latency_under_load") flags += " --cell_ms=100";
   if (bench == "bench_threaded_manyworkers") flags += " --messages=4000";
   if (bench == "bench_reconfig") flags += " --messages=4000";
@@ -88,10 +88,9 @@ TEST_P(BenchDeterminismTest, SameSeedSameQuickScaleByteIdenticalReport) {
   }
   const std::string text1 = ReadFileOrDie(out1);
   const std::string text2 = ReadFileOrDie(out2);
-  if (bench == "bench_threaded_scaling" ||
-      bench == "bench_latency_under_load" ||
+  if (bench == "bench_latency_under_load" ||
       bench == "bench_threaded_manyworkers") {
-    // These benches measure wall-clock rates / injection lag; everything
+    // These benches measure wall-clock injection lag; everything
     // *outside* host_metrics must still be byte-identical.
     auto doc1 = JsonValue::Parse(text1);
     auto doc2 = JsonValue::Parse(text2);
@@ -147,6 +146,60 @@ TEST(BenchExportFailureTest, SuccessfulExportsExitZeroAndParse) {
   std::remove(json.c_str());
   std::remove(csv.c_str());
 }
+
+struct BadIntFlag {
+  const char* bench;
+  const char* flag;
+  const char* value;
+  const char* label;  // test-name suffix for `value`
+};
+
+void PrintTo(const BadIntFlag& c, std::ostream* os) {
+  *os << c.bench << " --" << c.flag << "=" << c.value;
+}
+
+// Cast to an unsigned count, -1 would wrap to billions of sinks or messages,
+// and "abc" would silently run the default. Every value here is rejected
+// while the flags are read, before any runtime or thread exists.
+const BadIntFlag kBadIntFlags[] = {
+    {"bench_latency_under_load", "workers", "-1", "negative"},
+    {"bench_latency_under_load", "workers", "0", "zero"},
+    {"bench_latency_under_load", "workers", "abc", "malformed"},
+    {"bench_latency_under_load", "workers", "65", "over_cap"},
+    {"bench_threaded_manyworkers", "shards", "-1", "negative"},
+    {"bench_threaded_manyworkers", "shards", "0", "zero"},
+    {"bench_threaded_manyworkers", "shards", "abc", "malformed"},
+    {"bench_reconfig", "messages", "-1", "negative"},
+    {"bench_reconfig", "messages", "0", "zero"},
+    {"bench_reconfig", "messages", "abc", "malformed"},
+};
+
+class BenchIntFlagValidationTest : public testing::TestWithParam<BadIntFlag> {};
+
+TEST_P(BenchIntFlagValidationTest, BadIntegerFlagExitsTwoNamingTheFlag) {
+  const BadIntFlag& c = GetParam();
+  const std::string flag = std::string("--") + c.flag;
+  const std::string err = testing::TempDir() + "/" + c.bench + "_" + c.flag +
+                          "_" + c.label + ".err";
+  const int status =
+      std::system(("exec " + BenchDir() + "/" + c.bench + " --quick " + flag +
+                   "=" + c.value + " > /dev/null 2> " + err)
+                      .c_str());
+  ASSERT_TRUE(status != -1 && WIFEXITED(status))
+      << c.bench << " " << flag << "=" << c.value << " did not exit";
+  EXPECT_EQ(WEXITSTATUS(status), 2) << c.bench << " " << flag << "=" << c.value;
+  EXPECT_NE(ReadFileOrDie(err).find("flag error: " + flag + "="),
+            std::string::npos)
+      << c.bench << " stderr does not name " << flag;
+  std::remove(err.c_str());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllBenches, BenchIntFlagValidationTest, testing::ValuesIn(kBadIntFlags),
+    [](const testing::TestParamInfo<BadIntFlag>& info) {
+      return std::string(info.param.bench) + "_" + info.param.flag + "_" +
+             info.param.label;
+    });
 
 TEST(BenchFlagValidationTest, OutOfRangeServiceUsAbortsNamingTheFlag) {
   // Above 1e6 us a virtual-service sink serves under one msg/sec, so the

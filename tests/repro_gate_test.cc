@@ -405,11 +405,10 @@ constexpr BaselineSpec kBaselines[] = {
     {"bench_ablation_choices", 14},
     {"bench_ablation_probing", 7},
     {"bench_ablation_rebalance", 8},
-    {"bench_threaded_scaling", 7},
     {"bench_seq_dchoices", 24},
     {"bench_micro_route", 14},
     {"bench_latency_under_load", 21},
-    {"bench_threaded_manyworkers", 30},
+    {"bench_threaded_manyworkers", 28},
     {"bench_reconfig", 44},
 };
 

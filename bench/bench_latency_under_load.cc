@@ -67,11 +67,11 @@ int main(int argc, char** argv) {
   uint64_t cell_ms = args.quick ? 500 : 2000;
   if (args.full) cell_ms = 8000;
   cell_ms =
-      bench::PositiveIntFlag(args.flags, "cell_ms", cell_ms, bench::kMaxCellMs);
-  const uint64_t service_us = bench::PositiveIntFlag(
-      args.flags, "service_us", 50, bench::kMaxServiceUs);
+      args.flags.GetIntInRange("cell_ms", cell_ms, 1, bench::kMaxCellMs);
+  const uint64_t service_us =
+      args.flags.GetIntInRange("service_us", 50, 1, bench::kMaxServiceUs);
   const auto workers = static_cast<uint32_t>(
-      bench::PositiveIntFlag(args.flags, "workers", 4, bench::kMaxThreads));
+      args.flags.GetIntInRange("workers", 4, 1, bench::kMaxThreads));
 
   // Per-worker capacity is 1e6/service_us = 20k msgs/sec (80k aggregate).
   // 8k/s: everyone idle. 32k/s: KG's hot worker (~0.54 share -> ~17.3k/s)

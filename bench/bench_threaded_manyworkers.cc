@@ -95,12 +95,12 @@ int main(int argc, char** argv) {
   // of every cell identical.
   uint64_t messages = args.quick ? 20000 : 40000;
   if (args.full) messages = 100000;
-  messages = bench::PositiveIntFlag(args.flags, "messages", messages,
-                                    bench::kMaxMessages);
-  const uint64_t service_us = bench::PositiveIntFlag(
-      args.flags, "service_us", 5000, bench::kMaxServiceUs);
+  messages =
+      args.flags.GetIntInRange("messages", messages, 1, bench::kMaxMessages);
+  const uint64_t service_us =
+      args.flags.GetIntInRange("service_us", 5000, 1, bench::kMaxServiceUs);
   const size_t shards =
-      bench::PositiveIntFlag(args.flags, "shards", 8, bench::kMaxThreads);
+      args.flags.GetIntInRange("shards", 8, 1, bench::kMaxThreads);
 
   const std::vector<uint32_t> worker_counts = {100, 500, 1000};
   const std::vector<std::pair<partition::Technique, std::string>> techniques =

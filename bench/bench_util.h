@@ -6,9 +6,7 @@
 #ifndef PKGSTREAM_BENCH_BENCH_UTIL_H_
 #define PKGSTREAM_BENCH_BENCH_UTIL_H_
 
-#include <cerrno>
 #include <cstdint>
-#include <cstdio>
 #include <cstdlib>
 #include <iostream>
 #include <string>
@@ -37,7 +35,7 @@ inline BenchArgs ParseBenchArgs(int argc, char** argv) {
     std::cerr << "flag error: " << s << "\n";
     std::exit(2);
   }
-  args.seed = static_cast<uint64_t>(flags.GetInt("seed", 42));
+  args.seed = flags.GetIntInRange("seed", 42, 0, kMaxIntFlag);
   args.full = flags.GetBool("full", false);
   args.quick = flags.GetBool("quick", false);
   if (args.full && args.quick) {
@@ -52,8 +50,9 @@ inline BenchArgs ParseBenchArgs(int argc, char** argv) {
   return args;
 }
 
-/// Upper bounds for the open-loop benches' integer flags, so that a typo
-/// cannot start thousands of threads or allocate gigabytes: --shards and
+/// Upper bounds for the open-loop benches' integer flags (read with
+/// Flags::GetIntInRange as [1, bound]), so that a typo cannot start
+/// thousands of threads or allocate gigabytes: --shards and
 /// bench_latency_under_load's --workers each become shard threads, the
 /// message caps sit 100x above the --full runs, and past kMaxServiceUs the
 /// sinks' virtual clocks could overflow.
@@ -61,27 +60,6 @@ inline constexpr uint64_t kMaxThreads = 64;
 inline constexpr uint64_t kMaxMessages = 10000000;
 inline constexpr uint64_t kMaxCellMs = 60000;
 inline constexpr uint64_t kMaxServiceUs = 1000000000;
-
-/// Integer value of --name in [1, max], or `def` when absent (or empty).
-/// Anything else — not a whole decimal number, zero, negative, above `max` —
-/// prints "flag error: --name ..." and exits 2 before the bench builds
-/// anything: cast to an unsigned count, -1 would wrap to 2^64-1 workers or
-/// messages, and Flags::GetInt silently reads "4k" as the default.
-inline uint64_t PositiveIntFlag(const Flags& flags, const std::string& name,
-                                uint64_t def, uint64_t max) {
-  const std::string text = flags.GetString(name, "");
-  if (text.empty()) return def;
-  char* end = nullptr;
-  errno = 0;
-  const long long value = std::strtoll(text.c_str(), &end, 10);
-  if (*end != '\0' || errno == ERANGE || value < 1 ||
-      static_cast<unsigned long long>(value) > max) {
-    std::cerr << "flag error: --" << name << "=" << text
-              << " is not an integer in [1, " << max << "]\n";
-    std::exit(2);
-  }
-  return static_cast<uint64_t>(value);
-}
 
 inline void PrintBanner(const std::string& title, const std::string& paper_ref,
                         const BenchArgs& args) {

@@ -19,10 +19,11 @@ int main(int argc, char** argv) {
   Flags flags;
   PKGSTREAM_CHECK_OK(Flags::Parse(argc, argv, &flags));
   const double delay_ms = flags.GetDouble("delay_ms", 0.4);
-  const uint32_t workers = static_cast<uint32_t>(flags.GetInt("workers", 9));
+  const auto workers =
+      static_cast<uint32_t>(flags.GetIntInRange("workers", 9, 1, 4096));
   const uint64_t messages =
-      static_cast<uint64_t>(flags.GetInt("messages", 100000));
-  const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 42));
+      flags.GetIntInRange("messages", 100000, 1, 1000000000);
+  const uint64_t seed = flags.GetIntInRange("seed", 42, 0, kMaxIntFlag);
 
   std::cout << "simulated cluster: 1 spout, " << workers
             << " counters (+1 aggregator), CPU delay "

@@ -27,10 +27,11 @@ int main(int argc, char** argv) {
   Flags flags;
   PKGSTREAM_CHECK_OK(Flags::Parse(argc, argv, &flags));
   const uint64_t messages =
-      static_cast<uint64_t>(flags.GetInt("messages", 500000));
-  const uint32_t workers = static_cast<uint32_t>(flags.GetInt("workers", 20));
+      flags.GetIntInRange("messages", 500000, 1, 1000000000);
+  const auto workers =
+      static_cast<uint32_t>(flags.GetIntInRange("workers", 20, 1, 4096));
   const double hot = flags.GetDouble("hot", 0.4);
-  const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 42));
+  const uint64_t seed = flags.GetIntInRange("seed", 42, 0, kMaxIntFlag);
 
   std::cout << "viral-key scenario: one key carries "
             << FormatFixed(hot * 100, 0) << "% of "

@@ -23,10 +23,12 @@ using namespace pkgstream;
 int main(int argc, char** argv) {
   Flags flags;
   PKGSTREAM_CHECK_OK(Flags::Parse(argc, argv, &flags));
-  const uint64_t edges = static_cast<uint64_t>(flags.GetInt("edges", 500000));
-  const uint32_t sources = static_cast<uint32_t>(flags.GetInt("sources", 5));
-  const uint32_t workers = static_cast<uint32_t>(flags.GetInt("workers", 10));
-  const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 42));
+  const uint64_t edges = flags.GetIntInRange("edges", 500000, 1, 1000000000);
+  const auto sources =
+      static_cast<uint32_t>(flags.GetIntInRange("sources", 5, 1, 4096));
+  const auto workers =
+      static_cast<uint32_t>(flags.GetIntInRange("workers", 10, 1, 4096));
+  const uint64_t seed = flags.GetIntInRange("seed", 42, 0, kMaxIntFlag);
 
   const auto& lj = workload::GetDataset(workload::DatasetId::kLJ);
   std::cout << "streaming in-degree over " << FormatWithCommas(edges)

@@ -66,9 +66,10 @@ int main(int argc, char** argv) {
   Flags flags;
   PKGSTREAM_CHECK_OK(Flags::Parse(argc, argv, &flags));
   const uint64_t messages =
-      static_cast<uint64_t>(flags.GetInt("messages", 300000));
-  const uint32_t workers = static_cast<uint32_t>(flags.GetInt("workers", 8));
-  const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 42));
+      flags.GetIntInRange("messages", 300000, 1, 1000000000);
+  const auto workers =
+      static_cast<uint32_t>(flags.GetIntInRange("workers", 8, 1, 4096));
+  const uint64_t seed = flags.GetIntInRange("seed", 42, 0, kMaxIntFlag);
 
   std::cout << "distributed heavy hitters on a drifting cashtag stream ("
             << FormatWithCommas(messages) << " messages, " << workers

@@ -22,10 +22,11 @@ using namespace pkgstream;
 int main(int argc, char** argv) {
   Flags flags;
   PKGSTREAM_CHECK_OK(Flags::Parse(argc, argv, &flags));
-  const uint32_t workers = static_cast<uint32_t>(flags.GetInt("workers", 8));
+  const auto workers =
+      static_cast<uint32_t>(flags.GetIntInRange("workers", 8, 1, 4096));
   const uint64_t messages =
-      static_cast<uint64_t>(flags.GetInt("messages", 1000000));
-  const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 42));
+      flags.GetIntInRange("messages", 1000000, 1, 1000000000);
+  const uint64_t seed = flags.GetIntInRange("seed", 42, 0, kMaxIntFlag);
 
   // 1. A Zipf workload: few very hot keys, long cold tail.
   auto dist = std::make_shared<workload::StaticDistribution>(

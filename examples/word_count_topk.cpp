@@ -71,10 +71,11 @@ int main(int argc, char** argv) {
   Flags flags;
   PKGSTREAM_CHECK_OK(Flags::Parse(argc, argv, &flags));
   const uint64_t messages =
-      static_cast<uint64_t>(flags.GetInt("messages", 200000));
-  const uint32_t workers = static_cast<uint32_t>(flags.GetInt("workers", 5));
-  const size_t topk = static_cast<size_t>(flags.GetInt("topk", 10));
-  const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 42));
+      flags.GetIntInRange("messages", 200000, 1, 1000000000);
+  const auto workers =
+      static_cast<uint32_t>(flags.GetIntInRange("workers", 5, 1, 4096));
+  const size_t topk = flags.GetIntInRange("topk", 10, 1, 1000);
+  const uint64_t seed = flags.GetIntInRange("seed", 42, 0, kMaxIntFlag);
 
   std::cout << "streaming top-" << topk << " word count over "
             << FormatWithCommas(messages) << " words, " << workers

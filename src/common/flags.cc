@@ -2,7 +2,9 @@
 
 #include "common/flags.h"
 
+#include <cerrno>
 #include <cstdlib>
+#include <iostream>
 
 namespace pkgstream {
 
@@ -57,6 +59,23 @@ int64_t Flags::GetInt(const std::string& name, int64_t def) const {
   char* end = nullptr;
   int64_t v = std::strtoll(it->second.c_str(), &end, 10);
   return (end && *end == '\0') ? v : def;
+}
+
+uint64_t Flags::GetIntInRange(const std::string& name, uint64_t def,
+                              uint64_t min, uint64_t max) const {
+  const std::string text = GetString(name, "");
+  if (text.empty()) return def;
+  char* end = nullptr;
+  errno = 0;
+  const long long value = std::strtoll(text.c_str(), &end, 10);
+  if (*end != '\0' || errno == ERANGE || value < 0 ||
+      static_cast<uint64_t>(value) < min ||
+      static_cast<uint64_t>(value) > max) {
+    std::cerr << "flag error: --" << name << "=" << text
+              << " is not an integer in [" << min << ", " << max << "]\n";
+    std::exit(2);
+  }
+  return static_cast<uint64_t>(value);
 }
 
 double Flags::GetDouble(const std::string& name, double def) const {

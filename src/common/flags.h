@@ -2,7 +2,8 @@
 // A tiny command-line flag parser for examples and benches.
 //
 // Supports --name=value and --name value forms plus boolean switches
-// (--full). Unknown flags are reported; positional arguments are collected.
+// (--full); positional arguments are collected. Flags a binary does not
+// read are ignored, not rejected.
 // Scope is deliberately small: binaries in this repo take a handful of
 // scalar knobs (seed, scale, workers), not nested configuration.
 
@@ -10,6 +11,7 @@
 #define PKGSTREAM_COMMON_FLAGS_H_
 
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
@@ -17,6 +19,10 @@
 #include "common/status.h"
 
 namespace pkgstream {
+
+/// Largest value Flags::GetIntInRange reads (2^63-1); the bound for --seed.
+inline constexpr uint64_t kMaxIntFlag =
+    static_cast<uint64_t>(std::numeric_limits<int64_t>::max());
 
 /// \brief Parsed command line: flag map plus positional arguments.
 class Flags {
@@ -32,6 +38,15 @@ class Flags {
 
   /// Integer value of --name, or `def` when absent or unparseable.
   int64_t GetInt(const std::string& name, int64_t def) const;
+
+  /// Integer value of --name in [min, max], or `def` when absent (or
+  /// empty). Anything else — not a whole decimal number, below `min`, above
+  /// `max` — prints "flag error: --name=value ..." and exits 2 before the
+  /// binary builds anything: cast to an unsigned count, -1 would wrap to
+  /// 2^64-1 workers or messages, and GetInt silently reads "4k" as `def`.
+  /// `max` is at most kMaxIntFlag.
+  uint64_t GetIntInRange(const std::string& name, uint64_t def, uint64_t min,
+                         uint64_t max) const;
 
   /// Double value of --name, or `def` when absent or unparseable.
   double GetDouble(const std::string& name, double def) const;

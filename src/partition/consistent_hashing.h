@@ -12,6 +12,9 @@
 //     key splitting riding on Chord-style replica selection, which keeps
 //     PKG's balance while inheriting the ring's elasticity (adding or
 //     removing a worker only remaps neighbouring arcs).
+//
+// Not a factory Technique: callers construct the class directly, and
+// bench_ablation_rebalance (its CH and CH+PKG rows) is the only one.
 
 #ifndef PKGSTREAM_PARTITION_CONSISTENT_HASHING_H_
 #define PKGSTREAM_PARTITION_CONSISTENT_HASHING_H_

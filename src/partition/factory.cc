@@ -5,7 +5,6 @@
 #include <algorithm>
 #include <memory>
 
-#include "partition/consistent_hashing.h"
 #include "partition/greedy.h"
 #include "partition/heavy_hitter_pkg.h"
 #include "partition/key_grouping.h"
@@ -40,8 +39,6 @@ std::string TechniqueName(Technique technique) {
       return "Off-Greedy";
     case Technique::kRebalancing:
       return "KG+rebalance";
-    case Technique::kConsistent:
-      return "CH";
     case Technique::kWChoices:
       return "W-Choices";
     case Technique::kDChoices:
@@ -68,9 +65,6 @@ Result<Technique> ParseTechnique(const std::string& name) {
   }
   if (name == "KG+rebalance" || name == "Rebalance") {
     return Technique::kRebalancing;
-  }
-  if (name == "CH" || name == "ConsistentHashing") {
-    return Technique::kConsistent;
   }
   if (name == "W-Choices" || name == "WChoices") {
     return Technique::kWChoices;
@@ -199,22 +193,6 @@ Result<PartitionerPtr> MakePartitioner(const PartitionerConfig& config) {
           std::make_unique<LocalLoadEstimator>(config.sources,
                                                config.workers),
           options));
-    }
-    case Technique::kConsistent: {
-      if (config.ring_replicas < 1 ||
-          config.ring_replicas > config.workers) {
-        return Status::InvalidArgument(
-            "ring replicas must be in [1, workers]");
-      }
-      if (config.virtual_nodes < 1) {
-        return Status::InvalidArgument("virtual nodes must be >= 1");
-      }
-      ConsistentHashOptions options;
-      options.virtual_nodes = config.virtual_nodes;
-      options.replicas = config.ring_replicas;
-      options.seed = config.seed;
-      return PartitionerPtr(std::make_unique<ConsistentHashGrouping>(
-          config.sources, config.workers, options));
     }
   }
   return Status::Internal("unreachable technique");

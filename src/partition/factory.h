@@ -18,8 +18,10 @@ namespace pkgstream {
 namespace partition {
 
 /// \brief Every partitioning strategy in the paper's evaluation, plus the
-/// extensions discussed in Sections II-B / VII / VIII (rebalancing and
-/// consistent hashing).
+/// extensions the benches measure: hot-key rebalancing (Sections II-B /
+/// VIII) and the heavy-hitter W-/D-Choices schemes. Consistent hashing is
+/// not a Technique: ConsistentHashGrouping (partition/consistent_hashing.h)
+/// is built directly, and only bench_ablation_rebalance reaches it.
 enum class Technique {
   kHashing,      ///< key grouping via a single hash (baseline "H")
   kShuffle,      ///< round-robin shuffle grouping ("SG")
@@ -31,7 +33,6 @@ enum class Technique {
   kOnGreedy,     ///< online greedy, full choice, routing table
   kOffGreedy,    ///< offline LPT on true frequencies (clairvoyant)
   kRebalancing,  ///< KG + periodic hot-key migration (§II-B / §VIII)
-  kConsistent,   ///< consistent-hashing ring; replicas>=2 = PKG-over-ring
   kWChoices,     ///< PKG + all-worker choice for detected heavy hitters
   kDChoices,     ///< PKG + adaptive per-heavy-key d (the sequel's policy)
 };
@@ -78,12 +79,6 @@ struct PartitionerConfig {
   /// heavy key of share p gets ceil(p*W/eps) candidates, keeping any
   /// single worker's total share within (1+eps)/W.
   double head_epsilon = 0.05;
-
-  /// kConsistent: virtual nodes per worker.
-  uint32_t virtual_nodes = 64;
-  /// kConsistent: replicas considered per key (num_choices is NOT reused so
-  /// plain CH stays the default; set 2 for PKG-over-ring).
-  uint32_t ring_replicas = 1;
 };
 
 /// \brief Display name used in tables ("PKG", "Hashing", ...).

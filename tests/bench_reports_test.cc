@@ -7,7 +7,7 @@
 //  * export failure — a bench whose --json/--csv write fails must exit
 //    non-zero (a silently missing report would vacuously pass the gate);
 //  * schema — reports carry the fields bench_check keys on;
-//  * invalid flags — a malformed or non-positive integer flag exits 2
+//  * invalid flags — a malformed or out-of-range integer flag exits 2
 //    naming the flag before anything runs; an out-of-range --service_us
 //    dies by CHECK (SIGABRT naming the flag), never by undefined behaviour.
 //
@@ -158,9 +158,10 @@ void PrintTo(const BadIntFlag& c, std::ostream* os) {
   *os << c.bench << " --" << c.flag << "=" << c.value;
 }
 
-// Cast to an unsigned count, -1 would wrap to billions of sinks or messages,
-// and "abc" would silently run the default. Every value here is rejected
-// while the flags are read, before any runtime or thread exists.
+// Cast to an unsigned count, -1 would wrap to billions of sinks or messages
+// (or a 2^64-1 seed), and "abc" would silently run the default. Every value
+// here is rejected while the flags are read, before any runtime or thread
+// exists.
 const BadIntFlag kBadIntFlags[] = {
     {"bench_latency_under_load", "workers", "-1", "negative"},
     {"bench_latency_under_load", "workers", "0", "zero"},
@@ -172,6 +173,10 @@ const BadIntFlag kBadIntFlags[] = {
     {"bench_reconfig", "messages", "-1", "negative"},
     {"bench_reconfig", "messages", "0", "zero"},
     {"bench_reconfig", "messages", "abc", "malformed"},
+    // --seed is read by every bench's shared ParseBenchArgs; a bad seed
+    // would otherwise run (and stamp the report with) the default 42.
+    {"bench_table1_datasets", "seed", "abc", "malformed"},
+    {"bench_table1_datasets", "seed", "-1", "negative"},
 };
 
 class BenchIntFlagValidationTest : public testing::TestWithParam<BadIntFlag> {};

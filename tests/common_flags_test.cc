@@ -110,5 +110,55 @@ TEST(FlagsTest, NegativeNumbersAsValues) {
   EXPECT_EQ(f.GetInt("offset", 0), -5);
 }
 
+// GetIntInRange: the checked reader behind every count and seed flag of the
+// benches and examples. A bad value exits 2 naming the flag.
+
+TEST(FlagsTest, IntInRangeDefaultsWhenAbsentOrEmpty) {
+  EXPECT_EQ(ParseOk({}).GetIntInRange("n", 5, 1, 10), 5u);
+  EXPECT_EQ(ParseOk({"--n="}).GetIntInRange("n", 5, 1, 10), 5u);
+}
+
+TEST(FlagsTest, IntInRangeAcceptsItsBounds) {
+  EXPECT_EQ(ParseOk({"--n=1"}).GetIntInRange("n", 5, 1, 10), 1u);
+  EXPECT_EQ(ParseOk({"--n=10"}).GetIntInRange("n", 5, 1, 10), 10u);
+  EXPECT_EQ(ParseOk({"--seed=0"}).GetIntInRange("seed", 42, 0, kMaxIntFlag),
+            0u);
+  EXPECT_EQ(ParseOk({"--seed=9223372036854775807"})
+                .GetIntInRange("seed", 42, 0, kMaxIntFlag),
+            kMaxIntFlag);
+}
+
+TEST(FlagsDeathTest, IntInRangeRejectsSuffixedNumber) {
+  Flags f = ParseOk({"--messages=4k"});
+  EXPECT_EXIT(f.GetIntInRange("messages", 1000, 1, 100000),
+              testing::ExitedWithCode(2), "flag error: --messages=4k ");
+}
+
+TEST(FlagsDeathTest, IntInRangeRejectsNegative) {
+  Flags f = ParseOk({"--seed=-1"});
+  EXPECT_EXIT(f.GetIntInRange("seed", 42, 0, kMaxIntFlag),
+              testing::ExitedWithCode(2), "flag error: --seed=-1 ");
+}
+
+TEST(FlagsDeathTest, IntInRangeRejectsBelowMin) {
+  Flags f = ParseOk({"--workers=0"});
+  EXPECT_EXIT(f.GetIntInRange("workers", 8, 1, 64),
+              testing::ExitedWithCode(2), "flag error: --workers=0 ");
+}
+
+TEST(FlagsDeathTest, IntInRangeRejectsAboveMax) {
+  Flags f = ParseOk({"--workers=65"});
+  EXPECT_EXIT(f.GetIntInRange("workers", 8, 1, 64),
+              testing::ExitedWithCode(2), "flag error: --workers=65 ");
+}
+
+TEST(FlagsDeathTest, IntInRangeRejectsOverflow) {
+  // 20 digits: past 2^63-1, where strtoll saturates and reports ERANGE.
+  Flags f = ParseOk({"--seed=18446744073709551616"});
+  EXPECT_EXIT(f.GetIntInRange("seed", 42, 0, kMaxIntFlag),
+              testing::ExitedWithCode(2),
+              "flag error: --seed=18446744073709551616 ");
+}
+
 }  // namespace
 }  // namespace pkgstream

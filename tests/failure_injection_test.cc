@@ -148,13 +148,6 @@ TEST(FailureInjectionTest, EveryBadConfigIsRejectedNotCrashed) {
     c.technique = Technique::kOffGreedy;
     cases.push_back({"off-greedy without frequencies", c});
   }
-  {
-    PartitionerConfig c;
-    c.technique = Technique::kConsistent;
-    c.ring_replicas = 100;
-    c.workers = 4;
-    cases.push_back({"replicas > workers", c});
-  }
   for (const auto& test_case : cases) {
     auto result = MakePartitioner(test_case.config);
     EXPECT_FALSE(result.ok()) << test_case.what;

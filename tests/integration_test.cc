@@ -128,8 +128,7 @@ TEST(IntegrationTest, AllTechniquesAgreeOnWordCountResults) {
   std::map<Key, uint64_t> reference;
   for (auto technique :
        {partition::Technique::kHashing, partition::Technique::kShuffle,
-        partition::Technique::kPkgLocal, partition::Technique::kWChoices,
-        partition::Technique::kConsistent}) {
+        partition::Technique::kPkgLocal, partition::Technique::kWChoices}) {
     apps::WordCountTopology wc =
         apps::MakeWordCountTopology(technique, 2, 5, 500, 5, 42);
     auto rt = engine::LogicalRuntime::Create(&wc.topology);

@@ -237,25 +237,65 @@ TEST(ConsistentHashTest, PkgOverRingBalancesLikePkg) {
   EXPECT_LT(stats::ImbalanceOf(l2) * 10, stats::ImbalanceOf(l1));
 }
 
-TEST(ConsistentHashTest, FactoryIntegration) {
-  PartitionerConfig config;
-  config.technique = Technique::kConsistent;
-  config.workers = 6;
-  config.ring_replicas = 2;
-  auto p = MakePartitioner(config);
-  ASSERT_TRUE(p.ok());
-  EXPECT_EQ((*p)->MaxWorkersPerKey(), 2u);
-  EXPECT_EQ((*p)->Name(), "CH-PKG(r=2)");
+TEST(ConsistentHashTest, ReplayAndCloneRouteIdenticallyWithinSuccessors) {
+  // The ring is built directly rather than through the factory, so the
+  // technique sweeps do not reach it: check their properties here —
+  // deterministic replay, Clone() parity, and every message of a key
+  // landing on one of its `replicas` ring successors.
+  ConsistentHashOptions options;
+  options.replicas = 2;
+  ConsistentHashGrouping a(1, 8, options);
+  ConsistentHashGrouping b(1, 8, options);
+  PartitionerPtr clone = a.Clone();
+  Rng rng(5);
+  std::vector<WorkerId> succ;
+  for (int i = 0; i < 5000; ++i) {
+    const Key k = rng.UniformInt(300);
+    const WorkerId w = a.Route(0, k);
+    ASSERT_EQ(b.Route(0, k), w) << "message " << i;
+    ASSERT_EQ(clone->Route(0, k), w) << "message " << i;
+    a.Successors(k, &succ);
+    ASSERT_TRUE(w == succ[0] || w == succ[1]) << "key " << k;
+  }
+}
 
-  config.ring_replicas = 7;  // > workers
-  EXPECT_TRUE(MakePartitioner(config).status().IsInvalidArgument());
-  config.ring_replicas = 1;
-  config.virtual_nodes = 0;
-  EXPECT_TRUE(MakePartitioner(config).status().IsInvalidArgument());
+TEST(ConsistentHashTest, NameAndSpreadFollowReplicas) {
+  ConsistentHashOptions options;
+  ConsistentHashGrouping plain(1, 6, options);
+  EXPECT_EQ(plain.Name(), "CH");
+  EXPECT_EQ(plain.MaxWorkersPerKey(), 1u);
+  options.replicas = 2;
+  ConsistentHashGrouping two(1, 6, options);
+  EXPECT_EQ(two.Name(), "CH-PKG(r=2)");
+  EXPECT_EQ(two.MaxWorkersPerKey(), 2u);
+}
+
+// The constructor CHECKs its options: a bad ring is a programming error.
+TEST(ConsistentHashDeathTest, RejectsMoreReplicasThanWorkers) {
+  ConsistentHashOptions options;
+  options.replicas = 7;
+  EXPECT_DEATH(ConsistentHashGrouping(1, 6, options), "replicas");
+}
+
+TEST(ConsistentHashDeathTest, RejectsZeroReplicas) {
+  ConsistentHashOptions options;
+  options.replicas = 0;
+  EXPECT_DEATH(ConsistentHashGrouping(1, 6, options), "replicas");
+}
+
+TEST(ConsistentHashDeathTest, RejectsZeroVirtualNodes) {
+  ConsistentHashOptions options;
+  options.virtual_nodes = 0;
+  EXPECT_DEATH(ConsistentHashGrouping(1, 6, options), "virtual_nodes");
+}
+
+TEST(ConsistentHashDeathTest, RemovingTheLastWorkerAborts) {
+  ConsistentHashGrouping ch(1, 2);
+  ch.RemoveWorker(0);
+  EXPECT_DEATH(ch.RemoveWorker(1), "last worker");
 }
 
 TEST(ConsistentHashTest, NamesParse) {
-  EXPECT_EQ(*ParseTechnique("CH"), Technique::kConsistent);
   EXPECT_EQ(*ParseTechnique("KG+rebalance"), Technique::kRebalancing);
   EXPECT_EQ(*ParseTechnique(TechniqueName(Technique::kRebalancing)),
             Technique::kRebalancing);

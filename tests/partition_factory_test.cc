@@ -112,7 +112,7 @@ TEST(FactoryTest, ClonesRouteIdenticallyAndIndependently) {
        {Technique::kHashing, Technique::kShuffle, Technique::kPkgGlobal,
         Technique::kPkgLocal, Technique::kPkgProbing, Technique::kPotcStatic,
         Technique::kOnGreedy, Technique::kOffGreedy, Technique::kRebalancing,
-        Technique::kConsistent, Technique::kWChoices}) {
+        Technique::kWChoices}) {
     PartitionerConfig config;
     config.technique = t;
     config.sources = 2;

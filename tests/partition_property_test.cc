@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "common/random.h"
+#include "partition/consistent_hashing.h"
 #include "partition/factory.h"
 #include "stats/frequency.h"
 #include "stats/imbalance.h"
@@ -26,11 +27,14 @@ struct PropertyCase {
   uint32_t workers;
   uint32_t sources;
   double zipf_exponent;
+  /// Sweep ConsistentHashGrouping (plain ring, one replica) instead of
+  /// `technique`: the class is built directly, not through the factory.
+  bool consistent_hash = false;
 };
 
 std::string CaseName(const testing::TestParamInfo<PropertyCase>& info) {
   const PropertyCase& c = info.param;
-  std::string name = TechniqueName(c.technique);
+  std::string name = c.consistent_hash ? "CH" : TechniqueName(c.technique);
   for (char& ch : name) {
     if (ch == '-') ch = '_';
   }
@@ -48,6 +52,12 @@ class PartitionerPropertyTest : public testing::TestWithParam<PropertyCase> {
   /// Builds the partitioner under test; fills frequencies for Off-Greedy.
   PartitionerPtr MakeSubject() {
     const PropertyCase& c = GetParam();
+    if (c.consistent_hash) {
+      ConsistentHashOptions options;
+      options.seed = 42;
+      return std::make_unique<ConsistentHashGrouping>(c.sources, c.workers,
+                                                      options);
+    }
     PartitionerConfig config;
     config.technique = c.technique;
     config.sources = c.sources;
@@ -152,12 +162,18 @@ std::vector<PropertyCase> AllCases() {
        {Technique::kHashing, Technique::kShuffle, Technique::kRandom,
         Technique::kPkgGlobal, Technique::kPkgLocal, Technique::kPkgProbing,
         Technique::kPotcStatic, Technique::kOnGreedy, Technique::kOffGreedy,
-        Technique::kConsistent, Technique::kWChoices}) {
+        Technique::kWChoices}) {
     for (uint32_t workers : {2u, 5u, 16u}) {
       for (double z : {0.0, 1.4}) {
         uint32_t sources = (t == Technique::kPkgLocal) ? 4u : 1u;
         cases.push_back(PropertyCase{t, workers, sources, z});
       }
+    }
+  }
+  for (uint32_t workers : {2u, 5u, 16u}) {
+    for (double z : {0.0, 1.4}) {
+      cases.push_back(PropertyCase{Technique::kHashing, workers, 1u, z,
+                                   /*consistent_hash=*/true});
     }
   }
   return cases;

@@ -3,8 +3,8 @@
 // technique, RouteBatch(source, keys, out, n) must yield exactly the
 // workers n scalar Route calls would, and leave the partitioner in the
 // identical state — batch and scalar consumption are interchangeable
-// mid-stream. The suite sweeps every factory technique x d in {2, 4} x 3
-// seeds, drives one instance scalar and a twin through interleaved batch
+// mid-stream. The suite sweeps every factory technique, and
+// ConsistentHashGrouping with d ring replicas, x d in {2, 4} x 3 seeds, drives one instance scalar and a twin through interleaved batch
 // sizes (1, 7, 64 and a ragged tail) with a rotating source, and then
 // checks post-batch state agreement both directly (more scalar routing on
 // the originals) and through Clone() (more routing on the clones).
@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "common/hash.h"
+#include "partition/consistent_hashing.h"
 #include "partition/factory.h"
 #include "stats/frequency.h"
 
@@ -43,6 +44,9 @@ struct SweepCase {
   uint32_t num_choices;
   uint64_t seed;
   uint32_t workers = kWorkers;
+  /// Sweep ConsistentHashGrouping with `num_choices` ring replicas instead
+  /// of `technique`: the class is built directly, not through the factory.
+  bool consistent_hash = false;
 };
 
 std::vector<SweepCase> AllCases() {
@@ -52,8 +56,7 @@ std::vector<SweepCase> AllCases() {
       Technique::kPkgLocal,   Technique::kPkgProbing,
       Technique::kPotcStatic, Technique::kOnGreedy,
       Technique::kOffGreedy,  Technique::kRebalancing,
-      Technique::kConsistent, Technique::kWChoices,
-      Technique::kDChoices,
+      Technique::kWChoices,   Technique::kDChoices,
   };
   std::vector<SweepCase> cases;
   for (Technique t : techniques) {
@@ -61,6 +64,12 @@ std::vector<SweepCase> AllCases() {
       for (uint64_t seed : {1ull, 7ull, 42ull}) {
         cases.push_back(SweepCase{t, d, seed});
       }
+    }
+  }
+  for (uint32_t d : {2u, 4u}) {
+    for (uint64_t seed : {1ull, 7ull, 42ull}) {
+      cases.push_back(SweepCase{Technique::kHashing, d, seed, kWorkers,
+                                /*consistent_hash=*/true});
     }
   }
   return cases;
@@ -90,7 +99,9 @@ std::vector<SweepCase> WideWorkerCases() {
 }
 
 std::string CaseName(const testing::TestParamInfo<SweepCase>& info) {
-  std::string name = TechniqueName(info.param.technique);
+  std::string name = info.param.consistent_hash
+                         ? "CH"
+                         : TechniqueName(info.param.technique);
   for (char& c : name) {
     if (!std::isalnum(static_cast<unsigned char>(c))) c = '_';
   }
@@ -123,12 +134,23 @@ class RouteBatchEquivalenceTest : public testing::TestWithParam<SweepCase> {
     }
   }
 
+  Result<PartitionerPtr> MakeSubject() const {
+    if (GetParam().consistent_hash) {
+      ConsistentHashOptions options;
+      options.replicas = GetParam().num_choices;
+      options.seed = GetParam().seed;
+      return PartitionerPtr(std::make_unique<ConsistentHashGrouping>(
+          kSources, GetParam().workers, options));
+    }
+    return MakePartitioner(Config());
+  }
+
   stats::FrequencyTable frequencies_;
 };
 
 TEST_P(RouteBatchEquivalenceTest, InterleavedBatchesMatchScalarAndCloneAgrees) {
-  auto scalar = MakePartitioner(Config());
-  auto batch = MakePartitioner(Config());
+  auto scalar = MakeSubject();
+  auto batch = MakeSubject();
   ASSERT_TRUE(scalar.ok()) << scalar.status();
   ASSERT_TRUE(batch.ok()) << batch.status();
 

@@ -197,8 +197,7 @@ TEST(ReconfigEquivalenceTest, ClonesInheritReconfiguredState) {
 }
 
 TEST(ReconfigEquivalenceTest, NonReconfigurableTechniquesSaySo) {
-  for (Technique technique :
-       {Technique::kHashing, Technique::kPotcStatic, Technique::kConsistent}) {
+  for (Technique technique : {Technique::kHashing, Technique::kPotcStatic}) {
     auto p = MakePartitioner(ConfigFor(technique, 8, 42));
     ASSERT_TRUE(p.ok()) << TechniqueName(technique);
     EXPECT_FALSE((*p)->SupportsReconfiguration());
